@@ -109,27 +109,19 @@ def test_bench_alg2_fast(benchmark):
     bench_engine(benchmark, "fast", NoSharedMemoryLRUChannel, "alg2")
 
 
-def run_all(jobs, engine="reference"):
+def run_all(jobs):
     from repro.experiments import EXPERIMENT_REGISTRY
     from repro.experiments.runner import ExperimentRunner
-    from repro.sim.fastpath import set_default_engine
 
-    set_default_engine(engine)
-    try:
-        runner = ExperimentRunner(retries=0)
-        report = runner.run_many(sorted(EXPERIMENT_REGISTRY), jobs=jobs)
-    finally:
-        set_default_engine(None)
+    runner = ExperimentRunner(retries=0)
+    report = runner.run_many(sorted(EXPERIMENT_REGISTRY), jobs=jobs)
     assert report.ok, report.summary()
     return report
 
 
-def bench_run_all(benchmark, jobs, engine):
-    report = benchmark.pedantic(
-        run_all, args=(jobs, engine), rounds=1, iterations=1
-    )
+def bench_run_all(benchmark, jobs):
+    report = benchmark.pedantic(run_all, args=(jobs,), rounds=1, iterations=1)
     benchmark.extra_info["jobs"] = jobs
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["experiments"] = len(report.results)
     # Process parallelism cannot beat the host's core count; record it
     # so the jobs ratio in the JSON is read against the right bound.
@@ -141,7 +133,7 @@ def bench_run_all(benchmark, jobs, engine):
 )
 def test_bench_run_all_serial(benchmark):
     """Whole experiment battery, one process (the batch baseline)."""
-    bench_run_all(benchmark, jobs=1, engine="reference")
+    bench_run_all(benchmark, jobs=1)
 
 
 @pytest.mark.skipif(
@@ -149,12 +141,4 @@ def test_bench_run_all_serial(benchmark):
 )
 def test_bench_run_all_jobs4(benchmark):
     """Whole experiment battery across 4 worker processes."""
-    bench_run_all(benchmark, jobs=4, engine="reference")
-
-
-@pytest.mark.skipif(
-    not RUN_ALL, reason="set REPRO_BENCH_RUN_ALL=1 to run the batch benches"
-)
-def test_bench_run_all_fast_engine(benchmark):
-    """Whole experiment battery, one process, fast engine."""
-    bench_run_all(benchmark, jobs=1, engine="fast")
+    bench_run_all(benchmark, jobs=4)

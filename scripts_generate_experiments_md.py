@@ -55,17 +55,18 @@ state what the paper reports for the same quantity.  We reproduce the
 *shape* of every result (who wins, by what rough factor, where the
 crossovers fall); absolute cycle counts and rates differ because the
 substrate is a simulator, not the authors' testbed.  The `_run:` footer
-under each block is its manifest (seed, machines, engine, package
-version) and the `_metrics:` line is the run's counter digest — both
+under each block is its manifest (seed, machines, package version)
+and the `_metrics:` line is the run's counter digest — both
 deterministic, both explained in docs/OBSERVABILITY.md.
 
 Any experiment here can be re-run with runtime invariant checking:
 `python -m repro run <id> --sanitize` wraps every machine in the
 proxies of `repro.analysis` (see docs/ANALYSIS.md), turning silent
 replacement-state corruption into a structured `InvariantViolation`;
-results are bit-identical with the flag on or off.  Engine selection
-(`--engine fast`, docs/PERFORMANCE.md) and fault injection
-(docs/FAULTS.md) are likewise result-preserving and documented there.
+results are bit-identical with the flag on or off.  Every machine runs
+on the table-driven scalar engine, which the differential suite holds
+bit-identical to the reference cache classes (docs/PERFORMANCE.md);
+fault injection (docs/FAULTS.md) is documented there.
 
 ## Headline comparisons
 

@@ -35,13 +35,11 @@ during the run is wrapped in the invariant-checking proxies of
 ``InvariantViolation`` at the offending transition.  The companion
 static checks live under ``python -m repro.analysis lint``.
 
-Both also accept ``--engine {reference,fast,batch}``: the table-driven
-fast engine is bit-identical to the reference one
-(``docs/PERFORMANCE.md``) and is the way to make big sweeps cheap;
-``batch`` adds vectorized multi-trial entry points on top of the fast
-scalar paths.  ``run <alg1|alg2> --trials N`` runs N independent
-channel transfers through the lockstep batch engine
-(``repro.sim.batch``) in checkpointable blocks.
+Every machine runs on the table-driven scalar engine, bit-identical to
+the reference cache classes (``docs/PERFORMANCE.md``).
+``run <alg1|alg2> --trials N`` runs N independent channel transfers
+through the lockstep batch engine (``repro.sim.batch``) in
+checkpointable blocks.
 
 ``run <alg1|alg2|occupancy> --defense <design>`` runs one channel
 against a defense design from the registry (``repro.defenses``) —
@@ -78,7 +76,6 @@ def _cmd_run(
     checkpoint: str = None,
     sanitize: bool = False,
     jobs: int = None,
-    engine: str = None,
     trace: str = None,
     max_task_crashes: int = 3,
     heartbeat_interval: float = 1.0,
@@ -89,10 +86,6 @@ def _cmd_run(
     intensity: float = 0.0,
     attacker: str = "auto",
 ) -> int:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
-
-        set_default_engine(engine)
     from repro.experiments import EXPERIMENT_REGISTRY
     from repro.experiments.runner import ExperimentRunner, auto_jobs
 
@@ -304,11 +297,7 @@ def _cmd_report(
     return 0
 
 
-def _cmd_demo(sanitize: bool = False, engine: str = None) -> int:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
-
-        set_default_engine(engine)
+def _cmd_demo(sanitize: bool = False) -> int:
     if sanitize:
         from repro.analysis.sanitize import enable_sanitize
 
@@ -352,12 +341,7 @@ def _cmd_serve(
     cache_dir: str = "service-cache",
     drain_timeout: float = 10.0,
     seed: int = 0,
-    engine: str = None,
 ) -> int:
-    if engine is not None:
-        from repro.sim.fastpath import set_default_engine
-
-        set_default_engine(engine)
     import asyncio
     import signal
 
@@ -586,15 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: os.cpu_count(); values above it warn and time-slice)",
     )
     run_parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "batch"],
-        default=None,
-        help="simulation engine; 'fast' uses precompiled replacement "
-        "tables, bit-identical to 'reference'; 'batch' additionally "
-        "vectorizes multi-trial runs (default: reference, or the "
-        "REPRO_ENGINE environment variable)",
-    )
-    run_parser.add_argument(
         "--trials",
         type=int,
         default=0,
@@ -797,13 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="master seed for circuit-breaker probe jitter "
         "(default: 0)",
     )
-    serve_parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "batch"],
-        default=None,
-        help="simulation engine for served experiments (default: "
-        "reference, or the REPRO_ENGINE environment variable)",
-    )
     request_parser = sub.add_parser(
         "request", help="send one request to a running service"
     )
@@ -971,12 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the demo with the runtime sanitizer armed",
     )
-    demo_parser.add_argument(
-        "--engine",
-        choices=["reference", "fast", "batch"],
-        default=None,
-        help="simulation engine for the demo machine",
-    )
     return parser
 
 
@@ -992,7 +954,6 @@ def main(argv: list = None) -> int:
             checkpoint=args.checkpoint,
             sanitize=args.sanitize,
             jobs=args.jobs,
-            engine=args.engine,
             trace=args.trace,
             max_task_crashes=args.max_task_crashes,
             heartbeat_interval=args.heartbeat_interval,
@@ -1025,7 +986,6 @@ def main(argv: list = None) -> int:
             cache_dir=args.cache_dir,
             drain_timeout=args.drain_timeout,
             seed=args.seed,
-            engine=args.engine,
         )
     if args.command == "request":
         return _cmd_request(
@@ -1055,7 +1015,7 @@ def main(argv: list = None) -> int:
             request_timeout=args.request_timeout,
             health_interval=args.health_interval,
         )
-    return _cmd_demo(sanitize=args.sanitize, engine=args.engine)
+    return _cmd_demo(sanitize=args.sanitize)
 
 
 if __name__ == "__main__":

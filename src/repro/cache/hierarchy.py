@@ -41,14 +41,11 @@ class CacheHierarchy:
         invisible_speculation: InvisiSpec-style defense — accesses marked
             ``speculative`` produce correct latencies but make no state
             change anywhere in the hierarchy (Section IX-B).
-        engine: ``"reference"`` (the oracle implementation),
-            ``"fast"`` (table-driven policies + tag maps; bit-identical,
-            see ``repro.sim.fastpath``), or ``"batch"`` (scalar paths
-            identical to ``fast``; multi-trial entry points vectorize
-            through ``repro.sim.batch``).  None consults the
-            process-wide default (``REPRO_ENGINE``, set by the CLI's
-            ``--engine``).  A pre-built ``l1_cache`` is used as given
-            either way.
+
+    Plain levels are table-driven
+    :class:`~repro.sim.fastpath.FastSetAssociativeCache` instances,
+    bit-identical to the reference :class:`SetAssociativeCache` (see
+    ``tests/test_perf``); a pre-built ``l1_cache`` is used as given.
     """
 
     def __init__(
@@ -58,30 +55,25 @@ class CacheHierarchy:
         l1_cache: Optional[SetAssociativeCache] = None,
         prefetcher: Optional[StridePrefetcher] = None,
         invisible_speculation: bool = False,
-        engine: Optional[str] = None,
     ):
         # Imported lazily: repro.sim.fastpath subclasses the cache layer,
         # so a top-level import here would be circular.
-        from repro.sim.fastpath import FastSetAssociativeCache, resolve_engine
+        from repro.sim.fastpath import FastSetAssociativeCache
 
         self.config = config
-        self.engine = resolve_engine(engine)
-        # "batch" machines share the fast scalar cache classes; only the
-        # multi-trial entry points (repro.sim.batch) vectorize further.
-        cache_cls = (
-            FastSetAssociativeCache
-            if self.engine in ("fast", "batch")
-            else SetAssociativeCache
-        )
         base_rng = make_rng(rng)
         predictor = WayPredictor() if config.way_predictor else None
-        self.l1 = l1_cache or cache_cls(
+        self.l1 = l1_cache or FastSetAssociativeCache(
             config.l1, rng=spawn_rng(base_rng, "l1"), way_predictor=predictor
         )
-        self.l2 = cache_cls(config.l2, rng=spawn_rng(base_rng, "l2"))
+        self.l2 = FastSetAssociativeCache(
+            config.l2, rng=spawn_rng(base_rng, "l2")
+        )
         self.llc: Optional[SetAssociativeCache] = None
         if config.llc is not None:
-            self.llc = cache_cls(config.llc, rng=spawn_rng(base_rng, "llc"))
+            self.llc = FastSetAssociativeCache(
+                config.llc, rng=spawn_rng(base_rng, "llc")
+            )
         self.prefetcher = prefetcher
         self.invisible_speculation = invisible_speculation
         # Observability handles, bound once at construction; None when no

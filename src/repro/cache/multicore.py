@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.cache.cache import SetAssociativeCache
 from repro.cache.config import CacheConfig
 from repro.common.errors import ConfigurationError
 from repro.common.rng import RngLike, make_rng, spawn_rng
@@ -66,9 +65,17 @@ class _CoreCaches:
     """One core's private cache levels."""
 
     def __init__(self, core_id: int, config: MultiCoreConfig, rng):
+        # Imported lazily: repro.sim.fastpath subclasses the cache layer,
+        # so a top-level import here would be circular.
+        from repro.sim.fastpath import FastSetAssociativeCache
+
         self.core_id = core_id
-        self.l1 = SetAssociativeCache(config.l1, rng=spawn_rng(rng, f"l1{core_id}"))
-        self.l2 = SetAssociativeCache(config.l2, rng=spawn_rng(rng, f"l2{core_id}"))
+        self.l1 = FastSetAssociativeCache(
+            config.l1, rng=spawn_rng(rng, f"l1{core_id}")
+        )
+        self.l2 = FastSetAssociativeCache(
+            config.l2, rng=spawn_rng(rng, f"l2{core_id}")
+        )
 
 
 class MultiCoreSystem:
@@ -77,15 +84,23 @@ class MultiCoreSystem:
     Args:
         config: System geometry.
         rng: Seed for stochastic policies at any level.
+
+    Every level is a table-driven
+    :class:`~repro.sim.fastpath.FastSetAssociativeCache`, the same class
+    :class:`~repro.cache.hierarchy.CacheHierarchy` builds.
     """
 
     def __init__(self, config: MultiCoreConfig = MultiCoreConfig(), rng: RngLike = None):
+        from repro.sim.fastpath import FastSetAssociativeCache
+
         self.config = config
         base_rng = make_rng(rng)
         self.cores: List[_CoreCaches] = [
             _CoreCaches(i, config, base_rng) for i in range(config.cores)
         ]
-        self.llc = SetAssociativeCache(config.llc, rng=spawn_rng(base_rng, "llc"))
+        self.llc = FastSetAssociativeCache(
+            config.llc, rng=spawn_rng(base_rng, "llc")
+        )
 
     def _core(self, core_id: int) -> _CoreCaches:
         if not 0 <= core_id < len(self.cores):

@@ -13,7 +13,7 @@ streams over numpy ``uint64`` arrays.  A stream's draw at position
 an N-trial batch draws bit-identical noise whether it runs alone or in
 lockstep with thousands of siblings — the property that makes the batch
 engine checkpointable per trial-block and differentially testable
-against the scalar engines.  (Stateful ``numpy.random.Generator``
+against the scalar engine.  (Stateful ``numpy.random.Generator``
 objects cannot give that guarantee without one generator per trial,
 which would reintroduce a per-trial Python loop; each helper here is a
 single vectorized call per step.)  numpy is imported lazily so the

@@ -169,16 +169,13 @@ def defended_machine(
     rng: RngLike = None,
     spec: MachineSpec = INTEL_E5_2690,
     faults: Optional[Sequence[FaultModel]] = None,
-    engine: Optional[str] = None,
 ) -> Machine:
     """Build a machine whose L1 implements the named defense.
 
     Replacement-state designs are applied by rewriting the spec's L1
-    config (policy swap / hit-update suppression) so any engine serves
-    them; randomized designs install a pre-built keyed L1
-    (:class:`RandomizedIndexCache` / :class:`SkewedAssociativeCache`),
-    whose index function the fast engine routes through its reference
-    control flow.
+    config (policy swap / hit-update suppression); randomized designs
+    install a pre-built keyed L1 (:class:`RandomizedIndexCache` /
+    :class:`SkewedAssociativeCache`), which the hierarchy uses as given.
 
     Args:
         name: Key in :data:`DEFENSE_REGISTRY`.
@@ -186,7 +183,6 @@ def defended_machine(
             one seed pins both the machine and the index keys.
         spec: Platform to defend (default: the paper's E5-2690).
         faults: Fault models for the machine (intensity sweeps).
-        engine: Simulation engine override.
     """
     design = get_design(name)
     if not design.simulated:
@@ -203,9 +199,7 @@ def defended_machine(
             )
         else:
             l1 = SkewedAssociativeCache(l1_config, rng=key_rng)
-        return Machine(
-            spec=spec, rng=rng, l1_cache=l1, faults=faults, engine=engine
-        )
+        return Machine(spec=spec, rng=rng, l1_cache=l1, faults=faults)
     l1_config = spec.hierarchy.l1
     if design.l1_policy is not None:
         l1_config = replace(l1_config, policy=design.l1_policy)
@@ -215,4 +209,4 @@ def defended_machine(
         spec = replace(
             spec, hierarchy=replace(spec.hierarchy, l1=l1_config)
         )
-    return Machine(spec=spec, rng=rng, faults=faults, engine=engine)
+    return Machine(spec=spec, rng=rng, faults=faults)

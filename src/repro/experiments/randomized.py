@@ -30,7 +30,7 @@ The headline orderings the baseline locks in:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.cache.randomized_index import congruent_addresses
 from repro.channels.addresses import ChannelLayout, lines_for_set
@@ -156,7 +156,6 @@ def run_defended_channel(  # repro: allow(experiment-registered)
     attacker: str = "auto",
     message_bits: int = 0,
     rng: int = 17,
-    engine: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one channel against one defense design, end to end.
 
@@ -174,7 +173,6 @@ def run_defended_channel(  # repro: allow(experiment-registered)
             naive otherwise.
         message_bits: Payload length; 0 picks a per-channel default.
         rng: Master seed for machine, keys, and message.
-        engine: Simulation engine override.
     """
     if channel_id not in DEFENDED_CHANNELS:
         raise ConfigurationError(
@@ -182,7 +180,7 @@ def run_defended_channel(  # repro: allow(experiment-registered)
         )
     design = get_design(defense)
     faults = standard_fault_suite(intensity) if intensity > 0 else None
-    machine = defended_machine(defense, rng=rng, faults=faults, engine=engine)
+    machine = defended_machine(defense, rng=rng, faults=faults)
     if attacker == "auto":
         attacker = (
             "profiled"

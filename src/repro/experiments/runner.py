@@ -142,7 +142,7 @@ class ObsCapture:
 
     Attributes:
         experiment_id: Registered experiment id.
-        manifest: Reproducibility record (seed, machines, engine, ...).
+        manifest: Reproducibility record (seed, machines, ...).
         metrics: ``MetricsRegistry.snapshot()`` of the winning attempt,
             or None for entries restored from an old checkpoint.
         events: Trace-bus records of the winning attempt (empty unless
@@ -474,8 +474,6 @@ class ExperimentRunner:
         index: int,
     ) -> None:
         """Record the winning attempt's manifest, metrics, and events."""
-        from repro.sim.fastpath import default_engine
-
         self.captures[experiment_id] = ObsCapture(
             experiment_id=experiment_id,
             manifest=RunManifest.with_provenance(
@@ -484,7 +482,6 @@ class ExperimentRunner:
                 attempts=index + 1,
                 machines=session.machines(),
                 fault_models=session.fault_models(),
-                engine=default_engine(),
                 sanitize=self.sanitize,
             ),
             metrics=session.metrics.snapshot(),
@@ -801,8 +798,6 @@ class ExperimentRunner:
             notes=notes,
         )
         if session is not None:
-            from repro.sim.fastpath import default_engine
-
             self.captures[block_id] = ObsCapture(
                 experiment_id=block_id,
                 manifest=RunManifest.with_provenance(
@@ -811,7 +806,6 @@ class ExperimentRunner:
                     attempts=1,
                     machines=session.machines(),
                     fault_models=session.fault_models(),
-                    engine=default_engine(),
                     sanitize=self.sanitize,
                 ),
                 metrics=session.metrics.snapshot(),
@@ -1122,7 +1116,6 @@ class ExperimentRunner:
         if self.trace_path is None:
             return None
         from repro.obs.manifest import git_revision
-        from repro.sim.fastpath import default_engine
         import platform
 
         import repro
@@ -1135,7 +1128,6 @@ class ExperimentRunner:
             "package_version": repro.__version__,
             "git_rev": git_revision(),
             "python_version": platform.python_version(),
-            "engine": default_engine(),
             "jobs": jobs,
             "sanitize": self.sanitize,
             "summary": report.summary(),

@@ -12,7 +12,7 @@ EXPERIMENTS.md?* — without rerunning under a debugger.  Four pieces:
   (experiment → protocol run → sampling loop) so ``--trace`` costs
   O(depth) memory on runs of any length;
 * :mod:`repro.obs.manifest` — the reproducibility record (seed,
-  machines, engine, fault models, package version, git revision)
+  machines, fault models, package version, git revision)
   written next to every result;
 * :mod:`repro.obs.report` — ``python -m repro report run.jsonl``
   renders it all back into the exact markdown shape of EXPERIMENTS.md.

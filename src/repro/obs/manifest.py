@@ -2,16 +2,16 @@
 
 A checkpointed :class:`~repro.experiments.base.ExperimentResult` that
 drifts from EXPERIMENTS.md is only diagnosable if the artifact records
-*how it was produced*: which seed, which machines and engine, which
-fault models, which package version and git revision.  The manifest is
-that record; the runner writes one per experiment into the ``--trace``
-JSONL next to the result, and the report generator folds the
-deterministic fields into every EXPERIMENTS.md block.
+*how it was produced*: which seed, which machines, which fault models,
+which package version and git revision.  The manifest is that record;
+the runner writes one per experiment into the ``--trace`` JSONL next to
+the result, and the report generator folds the deterministic fields
+into every EXPERIMENTS.md block.
 
 Two field classes are deliberately separated:
 
-* **deterministic** fields (seed, machines, engine, fault models,
-  package version) — identical across reruns of the same code, so they
+* **deterministic** fields (seed, machines, fault models, package
+  version) — identical across reruns of the same code, so they
   belong in regenerated docs and golden files;
 * **provenance** fields (git revision, python version) — vary between
   checkouts, so the report prints them in its header, never inside the
@@ -54,9 +54,8 @@ class RunManifest:
         seed: The ``rng`` seed the successful attempt ran with; None
             when the run function takes no seed.
         attempts: Attempts consumed (1 = first try succeeded).
-        machines: Deduped machine builds: ``{spec, engine, count}``.
+        machines: Deduped machine builds: ``{spec, count}``.
         fault_models: Names of fault models attached during the run.
-        engine: Process-wide default engine the run started under.
         sanitize: Whether the runtime sanitizer was armed.
         package_version: ``repro.__version__``.
         git_rev: Checkout revision (provenance; not rendered in blocks).
@@ -68,7 +67,6 @@ class RunManifest:
     attempts: int = 1
     machines: List[Dict] = field(default_factory=list)
     fault_models: List[str] = field(default_factory=list)
-    engine: str = "reference"
     sanitize: bool = False
     package_version: str = repro.__version__
     git_rev: str = "unknown"
@@ -88,7 +86,6 @@ class RunManifest:
             "attempts": self.attempts,
             "machines": [dict(m) for m in self.machines],
             "fault_models": list(self.fault_models),
-            "engine": self.engine,
             "sanitize": self.sanitize,
             "package_version": self.package_version,
             "git_rev": self.git_rev,
@@ -103,7 +100,6 @@ class RunManifest:
             attempts=data.get("attempts", 1),
             machines=[dict(m) for m in data.get("machines", [])],
             fault_models=list(data.get("fault_models", [])),
-            engine=data.get("engine", "reference"),
             sanitize=data.get("sanitize", False),
             package_version=data.get("package_version", ""),
             git_rev=data.get("git_rev", "unknown"),
@@ -119,7 +115,7 @@ class RunManifest:
         for entry in self.machines:
             count = entry.get("count", 1)
             prefix = f"{count}× " if count != 1 else ""
-            parts.append(f"{prefix}{entry['spec']} ({entry['engine']})")
+            parts.append(f"{prefix}{entry['spec']}")
         return " + ".join(parts)
 
     def footer_line(self) -> str:

@@ -290,7 +290,6 @@ def render_report(records: Sequence[Dict]) -> str:
         f"repro {header.get('package_version', '?')}",
         f"git {header.get('git_rev', 'unknown')}",
         f"python {header.get('python_version', '?')}",
-        f"engine {header.get('engine', 'reference')}",
         f"jobs {header.get('jobs', 1)}",
         f"sanitize {'on' if header.get('sanitize') else 'off'}",
     ]

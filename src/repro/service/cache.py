@@ -3,7 +3,7 @@
 The cache is what turns the service's failure story from "retry and
 pray" into graceful degradation: every successful execution is memoized
 under a key derived from the *deterministic* fields of its
-:class:`~repro.obs.manifest.RunManifest` (experiment id, seed, engine,
+:class:`~repro.obs.manifest.RunManifest` (experiment id, seed,
 sanitizer state, package version — exactly the fields that determine the
 result bits, and none of the provenance fields that do not).  A repeat
 request is served the stored canonical payload verbatim, so a client
@@ -44,20 +44,18 @@ CACHE_VERSION = 1
 #: RunManifest fields that determine the result bits; the cache key is
 #: a hash over exactly these (provenance fields — git rev, python
 #: version — deliberately excluded: they vary without changing results).
-KEY_FIELDS = ("experiment_id", "seed", "engine", "sanitize", "package_version")
+KEY_FIELDS = ("experiment_id", "seed", "sanitize", "package_version")
 
 
 def key_fields(
     experiment_id: str,
     seed: Optional[int],
-    engine: str,
     sanitize: bool,
 ) -> Dict:
     """The deterministic manifest subset one request is keyed by."""
     return {
         "experiment_id": experiment_id,
         "seed": seed,
-        "engine": engine,
         "sanitize": sanitize,
         "package_version": repro.__version__,
     }

@@ -992,7 +992,6 @@ class ExperimentService:
                     f"budget={EAGER_STATE_BUDGET}"
                 ),
                 seed=0,
-                engine="static-analysis",
                 sanitize=False,
             )
         )
@@ -1133,7 +1132,6 @@ class ExperimentService:
         self, experiment_id: str, trials: int = 0, defense: str = "none"
     ) -> str:
         from repro.experiments.runner import ExperimentRunner
-        from repro.sim.fastpath import default_engine
 
         if defense != "none":
             # Defended channel runs: the design is part of the result
@@ -1142,20 +1140,18 @@ class ExperimentService:
                 key_fields(
                     experiment_id=f"{experiment_id}@{defense}",
                     seed=17,
-                    engine=default_engine(),
                     sanitize=self.config.sanitize,
                 )
             )
         if trials:
             # Batch-trial requests: the trial count is part of the
-            # result bits, and the engine/seed are fixed by the batch
-            # path (deterministic counter-based streams from the
+            # result bits, and the seed is fixed by the batch path
+            # (deterministic counter-based streams from the batch
             # engine's default master seed).
             return request_key(
                 key_fields(
                     experiment_id=f"{experiment_id}@trials{trials}",
                     seed=None,
-                    engine="batch",
                     sanitize=self.config.sanitize,
                 )
             )
@@ -1167,7 +1163,6 @@ class ExperimentService:
             key_fields(
                 experiment_id=experiment_id,
                 seed=seed,
-                engine=default_engine(),
                 sanitize=self.config.sanitize,
             )
         )

@@ -6,13 +6,7 @@ co-residency modes (hyper-threaded SMT and OS time-slicing); the
 machine specs encode the paper's three evaluation platforms.
 """
 
-from repro.sim.fastpath import (
-    ENGINES,
-    FastSetAssociativeCache,
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-)
+from repro.sim.fastpath import FastSetAssociativeCache
 from repro.sim.machine import Machine
 from repro.sim.ops import Access, Compute, ReadTSC, READ_TSC_COST, SleepUntil
 from repro.sim.scheduler import HyperThreadedScheduler, TimeSlicedScheduler
@@ -34,7 +28,6 @@ __all__ = [
     "AMD_EPYC_7571",
     "Access",
     "Compute",
-    "ENGINES",
     "FastSetAssociativeCache",
     "HyperThreadedScheduler",
     "INTEL_E3_1245V5",
@@ -47,7 +40,4 @@ __all__ = [
     "SimThread",
     "SleepUntil",
     "TimeSlicedScheduler",
-    "default_engine",
-    "resolve_engine",
-    "set_default_engine",
 ]

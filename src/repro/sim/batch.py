@@ -2,7 +2,7 @@
 
 The paper's evaluation numbers (Figs. 4-9) are averages over many
 independent transfer trials per (policy, ways, noise) cell, and the
-scalar engines pay the full Python interpreter cost per access *per
+scalar engine pays the full Python interpreter cost per access *per
 trial*.  This module removes the per-trial axis from the interpreter:
 N trials advance together through each access of the channel schedule,
 with per-set replacement state held as an ``int32`` state vector that
@@ -96,7 +96,7 @@ class BatchCache:
     differential suite in ``tests/test_perf`` asserts per trial.
 
     Flushes and locked/speculative accesses are not part of the channel
-    schedules and are unsupported here; the scalar engines remain the
+    schedules and are unsupported here; the scalar engine remains the
     path for those.
 
     Args:

@@ -19,72 +19,32 @@ stream, ``partitioned-plru`` is domain-aware) silently fall back to
 their reference implementations — still inside a :class:`FastCacheSet`,
 so the tag-map speedup applies regardless.
 
-Engine selection: :class:`~repro.sim.machine.Machine`,
-:class:`~repro.cache.hierarchy.CacheHierarchy` and the CLI accept
-``engine="fast" | "reference" | "batch"``; the process-wide default
-lives in the ``REPRO_ENGINE`` environment variable so it propagates to
-``multiprocessing`` workers under both fork and spawn start methods.
-The reference engine stays the oracle: ``tests/test_perf`` drives both
-engines over identical traces and requires bit-identical behaviour.
-
-The ``batch`` engine (:mod:`repro.sim.batch`) is a superset of the fast
-engine: scalar machines built under it use the fast cache classes
-unchanged, and multi-trial entry points
-(:meth:`~repro.experiments.runner.ExperimentRunner.run_trials`, the
-CLI's ``run --trials N``, the service's multi-trial ``run`` op)
-additionally vectorize the per-trial axis over numpy arrays.
+Every plain cache level that :class:`~repro.cache.hierarchy.CacheHierarchy`,
+:class:`~repro.sim.machine.Machine` and
+:class:`~repro.cache.multicore.MultiCoreSystem` build is a
+:class:`FastSetAssociativeCache`.  The reference classes in
+``repro.cache`` stay the oracle: ``tests/test_perf`` drives both over
+identical traces and requires bit-identical behaviour.  Multi-trial
+entry points (:meth:`~repro.experiments.runner.ExperimentRunner.run_trials`,
+the CLI's ``run --trials N``, the service's multi-trial ``run`` op)
+additionally vectorize the per-trial axis over numpy arrays through
+:mod:`repro.sim.batch`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Optional
 
 from repro.cache.cache import FillResult, LookupResult, SetAssociativeCache
 from repro.cache.cache_set import CacheSet
 from repro.cache.config import CacheConfig
-from repro.common.errors import ConfigurationError
 from repro.common.rng import RngLike
 from repro.common.types import AccessType, MemoryAccess
-from repro.replacement.tables import TABLEABLE_POLICIES, TabledPolicy
-
-#: Recognised engine names.
-ENGINES = ("reference", "fast", "batch")
-
-#: Environment variable holding the process-wide default engine.
-ENGINE_ENV = "REPRO_ENGINE"
-
-
-def default_engine() -> str:
-    """The process-wide default engine (``reference`` unless overridden)."""
-    return os.environ.get(ENGINE_ENV, "reference")
-
-
-def set_default_engine(engine: Optional[str]) -> None:
-    """Set (or, with None, clear) the process-wide default engine.
-
-    Stored in the environment rather than a module global so pool
-    workers inherit it under both fork and spawn start methods.
-    """
-    if engine is None:
-        os.environ.pop(ENGINE_ENV, None)
-        return
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    os.environ[ENGINE_ENV] = engine
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an explicit engine choice or fall back to the default."""
-    if engine is None:
-        engine = default_engine()
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    return engine
+from repro.replacement.tables import (
+    TABLEABLE_POLICIES,
+    TabledPolicy,
+    compile_tables,
+)
 
 
 class FastCacheSet(CacheSet):
@@ -154,6 +114,14 @@ class FastSetAssociativeCache(SetAssociativeCache):
         way_predictor=None,
         index_function=None,
     ):
+        # Every set shares one compiled table object, looked up once per
+        # cache: the memo lookup binds the policy constructor's
+        # signature, which per set dominated building large L2/LLC levels.
+        self._tables = (
+            compile_tables(config.policy, config.ways)
+            if config.policy in TABLEABLE_POLICIES
+            else None
+        )
         super().__init__(
             config,
             rng=rng,
@@ -196,16 +164,15 @@ class FastSetAssociativeCache(SetAssociativeCache):
             # The inlined hot paths hard-code modulo indexing; a keyed
             # index function must flow through the reference control
             # flow (whose _locate consults it) or it would be silently
-            # ignored under the fast/batch engines.
+            # ignored.
             self._plain_hit_path = False
             self._plain_fill_path = False
 
-    @staticmethod
-    def _make_policy(config: CacheConfig, base_rng, index: int):
-        if config.policy in TABLEABLE_POLICIES:
-            # Every set shares one compiled table object; per-set state
-            # is just the interned index inside the TabledPolicy.
-            return TabledPolicy(config.ways, base=config.policy)
+    def _make_policy(self, config: CacheConfig, base_rng, index: int):
+        if self._tables is not None:
+            # Per-set state is just the interned index inside the
+            # TabledPolicy.
+            return TabledPolicy(config.ways, tables=self._tables)
         return SetAssociativeCache._make_policy(config, base_rng, index)
 
     @staticmethod

@@ -42,9 +42,6 @@ class Machine:
             :class:`~repro.common.errors.InvariantViolation` at the
             offending transition.  ``None`` (the default) follows the
             process-wide flag set by the CLI's ``--sanitize``.
-        engine: ``"reference"`` or ``"fast"`` simulation engine (see
-            ``repro.sim.fastpath``); ``None`` (the default) follows the
-            process-wide default set by the CLI's ``--engine``.
     """
 
     def __init__(
@@ -56,7 +53,6 @@ class Machine:
         invisible_speculation: bool = False,
         faults: Optional[Sequence[FaultModel]] = None,
         sanitize: Optional[bool] = None,
-        engine: Optional[str] = None,
     ):
         self.spec = spec
         self.rng = make_rng(rng)
@@ -66,12 +62,10 @@ class Machine:
             l1_cache=l1_cache,
             prefetcher=prefetcher,
             invisible_speculation=invisible_speculation,
-            engine=engine,
         )
-        self.engine = self.hierarchy.engine
         session = obs_active()
         if session is not None:
-            session.note_machine(spec.name, self.engine)
+            session.note_machine(spec.name)
         self.tsc = TimestampCounter(spec.tsc, rng=spawn_rng(self.rng, "tsc"))
         # The injector draws its RNG lazily on first attach, so a
         # fault-free machine consumes exactly the same seed stream as

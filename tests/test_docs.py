@@ -238,7 +238,7 @@ class TestCliFlagDrift:
 
     def test_readme_documents_the_runner_flags(self):
         text = _read("README.md")
-        for flag in ("--jobs", "--engine", "--sanitize", "--trace",
+        for flag in ("--jobs", "--sanitize", "--trace",
                      "--timeout", "--retries", "--checkpoint",
                      "--max-task-crashes", "--heartbeat-interval",
                      "--drain-timeout"):

@@ -9,10 +9,8 @@ def _manifest(**overrides):
         experiment_id="fig4",
         seed=7,
         attempts=1,
-        machines=[{"spec": "Intel Xeon E5-2690", "engine": "reference",
-                   "count": 2}],
+        machines=[{"spec": "Intel Xeon E5-2690", "count": 2}],
         fault_models=[],
-        engine="reference",
         sanitize=False,
         git_rev="abc1234",
         python_version="3.11.0",
@@ -31,7 +29,6 @@ class TestRoundTrip:
         assert manifest.seed is None
         assert manifest.attempts == 1
         assert manifest.machines == []
-        assert manifest.engine == "reference"
 
     def test_with_provenance_stamps_checkout(self):
         manifest = RunManifest.with_provenance(experiment_id="fig4")
@@ -47,7 +44,7 @@ class TestFooterLine:
     def test_deterministic_fields_only(self):
         footer = _manifest().footer_line()
         assert footer == (
-            "_run: seed 7 · 2× Intel Xeon E5-2690 (reference) · "
+            "_run: seed 7 · 2× Intel Xeon E5-2690 · "
             f"repro {repro.__version__}_"
         )
         # provenance must stay out of regenerated doc blocks

@@ -38,9 +38,7 @@ def _manifest():
     return RunManifest(
         experiment_id="fig4",
         seed=7,
-        machines=[{"spec": "Intel Xeon E5-2690", "engine": "reference",
-                   "count": 1}],
-        engine="reference",
+        machines=[{"spec": "Intel Xeon E5-2690", "count": 1}],
         package_version="1.0.0",
         git_rev="abc1234",
         python_version="3.11.0",
@@ -77,7 +75,6 @@ def sample_records():
             "package_version": "1.0.0",
             "git_rev": "abc1234",
             "python_version": "3.11.0",
-            "engine": "reference",
             "jobs": 1,
             "sanitize": False,
             "summary": "1 ok, 0 failed",
@@ -123,7 +120,7 @@ class TestExperimentBlock:
         assert block.endswith(
             "_metrics: cache.l1.hits=100 · channel.bits.sent=8_\n"
         )
-        assert "_run: seed 7 · Intel Xeon E5-2690 (reference) " in block
+        assert "_run: seed 7 · Intel Xeon E5-2690 · " in block
         assert "abc1234" not in block  # provenance never in blocks
 
     def test_manifest_optional(self):

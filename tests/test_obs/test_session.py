@@ -49,12 +49,12 @@ class TestTraceDepthZero:
 class TestManifestNotes:
     def test_machines_dedupe_with_multiplicity(self):
         session = ObsSession(trace_depth=0)
-        session.note_machine("Intel Xeon E5-2690", "reference")
-        session.note_machine("Intel Xeon E5-2690", "reference")
-        session.note_machine("AMD EPYC 7571", "fast")
+        session.note_machine("Intel Xeon E5-2690")
+        session.note_machine("Intel Xeon E5-2690")
+        session.note_machine("AMD EPYC 7571")
         assert session.machines() == [
-            {"spec": "Intel Xeon E5-2690", "engine": "reference", "count": 2},
-            {"spec": "AMD EPYC 7571", "engine": "fast", "count": 1},
+            {"spec": "Intel Xeon E5-2690", "count": 2},
+            {"spec": "AMD EPYC 7571", "count": 1},
         ]
 
     def test_fault_models_sorted_unique(self):

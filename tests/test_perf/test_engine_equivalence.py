@@ -10,8 +10,9 @@ hold it to that claim at three levels:
   must agree on every hit/miss, every evicted address, every counter,
   and every final set snapshot;
 * machine level — a full covert-channel protocol run must decode the
-  same bits with the same latencies under both engines, including with
-  the PR 2 runtime sanitizer armed on the fast engine.
+  same bits with the same latencies when the machine's hierarchy is
+  rebuilt on the reference cache class, including with the runtime
+  sanitizer armed on the fast engine.
 """
 
 import random
@@ -31,13 +32,8 @@ from repro.replacement.tables import (
     compile_tables,
     estimated_state_count,
 )
-from repro.sim.fastpath import (
-    ENGINE_ENV,
-    FastSetAssociativeCache,
-    default_engine,
-    resolve_engine,
-    set_default_engine,
-)
+from repro.sim import fastpath
+from repro.sim.fastpath import FastSetAssociativeCache
 
 POLICIES = sorted(TABLEABLE_POLICIES)
 WAYS = [4, 8, 16]
@@ -230,10 +226,10 @@ class TestSanitizedFastEngine:
 
 
 class TestMachineEquivalence:
-    """Full protocol runs decode identically under both engines."""
+    """Full protocol runs decode identically on both cache classes."""
 
     @staticmethod
-    def _run_protocol(engine, sanitize=False):
+    def _run_protocol(sanitize=False):
         from repro.channels import (
             CovertChannelProtocol,
             ProtocolConfig,
@@ -242,7 +238,7 @@ class TestMachineEquivalence:
         )
         from repro.sim import INTEL_E5_2690, Machine
 
-        machine = Machine(INTEL_E5_2690, rng=2024, engine=engine)
+        machine = Machine(INTEL_E5_2690, rng=2024)
         if sanitize:
             from repro.analysis.sanitize import sanitize_machine
 
@@ -259,12 +255,25 @@ class TestMachineEquivalence:
         ]
         return sample_bits(run), latencies
 
-    def test_protocol_bit_identical(self):
-        assert self._run_protocol("reference") == self._run_protocol("fast")
+    @classmethod
+    def _run_reference_protocol(cls, monkeypatch):
+        """The same run with every hierarchy level a reference cache."""
+        from repro.sim import Machine
 
-    def test_protocol_bit_identical_under_sanitizer(self):
-        reference = self._run_protocol("reference")
-        assert self._run_protocol("fast", sanitize=True) == reference
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                fastpath, "FastSetAssociativeCache", SetAssociativeCache
+            )
+            assert type(Machine(rng=0).hierarchy.l1) is SetAssociativeCache
+            return cls._run_protocol()
+
+    def test_protocol_bit_identical(self, monkeypatch):
+        reference = self._run_reference_protocol(monkeypatch)
+        assert self._run_protocol() == reference
+
+    def test_protocol_bit_identical_under_sanitizer(self, monkeypatch):
+        reference = self._run_reference_protocol(monkeypatch)
+        assert self._run_protocol(sanitize=True) == reference
 
 
 class TestTableCompilation:
@@ -325,58 +334,44 @@ class TestTableCompilation:
         assert drive(ref, trace) == drive(cache, trace)
 
 
-class TestEngineSelection:
-    """Engine resolution helpers and the REPRO_ENGINE environment knob."""
+def _plain_levels(builder, sanitize):
+    """Every plain cache level of one freshly built system."""
+    from repro.analysis.sanitize import sanitize_hierarchy
+    from repro.cache.config import HierarchyConfig
+    from repro.cache.hierarchy import CacheHierarchy
+    from repro.cache.multicore import MultiCoreSystem
+    from repro.sim import INTEL_E5_2690_3LEVEL, Machine
 
-    def test_resolve_defaults_to_reference(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert default_engine() == "reference"
-        assert resolve_engine(None) == "reference"
-        assert resolve_engine("fast") == "fast"
+    if builder == "machine":
+        hierarchy = Machine(
+            INTEL_E5_2690_3LEVEL, rng=1, sanitize=sanitize
+        ).hierarchy
+        return [hierarchy.l1, hierarchy.l2, hierarchy.llc]
+    if builder == "hierarchy":
+        hierarchy = CacheHierarchy(HierarchyConfig(), rng=1)
+        if sanitize:
+            sanitize_hierarchy(hierarchy)
+        return [hierarchy.l1, hierarchy.l2]
+    system = MultiCoreSystem(rng=1)
+    levels = [system.llc]
+    for core in system.cores:
+        levels += [core.l1, core.l2]
+    if sanitize:
+        for cache in levels:
+            sanitize_cache(cache)
+    return levels
 
-    def test_env_var_sets_process_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "fast")
-        assert resolve_engine(None) == "fast"
 
-    def test_set_default_engine_round_trip(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        set_default_engine("fast")
-        assert default_engine() == "fast"
-        set_default_engine(None)
-        assert default_engine() == "reference"
+@pytest.mark.parametrize("sanitize", [False, True])
+@pytest.mark.parametrize("builder", ["machine", "hierarchy", "multicore"])
+def test_plain_levels_are_fast_caches(builder, sanitize):
+    from repro.analysis.proxies import SanitizingPolicy
 
-    def test_unknown_engine_rejected(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        with pytest.raises(ConfigurationError):
-            set_default_engine("warp")
-        with pytest.raises(ConfigurationError):
-            resolve_engine("warp")
-
-    def test_hierarchy_engine_selection(self):
-        from repro.cache.config import HierarchyConfig
-        from repro.cache.hierarchy import CacheHierarchy
-
-        fast = CacheHierarchy(HierarchyConfig(), rng=1, engine="fast")
-        ref = CacheHierarchy(HierarchyConfig(), rng=1, engine="reference")
-        assert fast.engine == "fast"
-        assert isinstance(fast.l1, FastSetAssociativeCache)
-        assert ref.engine == "reference"
-        assert not isinstance(ref.l1, FastSetAssociativeCache)
-
-    def test_batch_engine_is_resolvable(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        assert resolve_engine("batch") == "batch"
-        set_default_engine("batch")
-        assert default_engine() == "batch"
-        set_default_engine(None)
-
-    def test_batch_hierarchy_uses_fast_scalar_caches(self):
-        from repro.cache.config import HierarchyConfig
-        from repro.cache.hierarchy import CacheHierarchy
-
-        batch = CacheHierarchy(HierarchyConfig(), rng=1, engine="batch")
-        assert batch.engine == "batch"
-        assert isinstance(batch.l1, FastSetAssociativeCache)
+    levels = _plain_levels(builder, sanitize)
+    for cache in levels:
+        assert isinstance(cache, FastSetAssociativeCache)
+        policy = cache.sets[0].policy
+        assert isinstance(policy, SanitizingPolicy) == sanitize
 
 
 # ----------------------------------------------------------------------

@@ -17,9 +17,7 @@ from repro.service.cache import (
 
 
 def fields(**overrides):
-    base = key_fields(
-        experiment_id="alpha", seed=11, engine="reference", sanitize=False
-    )
+    base = key_fields(experiment_id="alpha", seed=11, sanitize=False)
     base.update(overrides)
     return base
 
@@ -32,7 +30,6 @@ class TestRequestKey:
         baseline = request_key(fields())
         assert request_key(fields(experiment_id="beta")) != baseline
         assert request_key(fields(seed=12)) != baseline
-        assert request_key(fields(engine="fast")) != baseline
         assert request_key(fields(sanitize=True)) != baseline
         assert request_key(fields(package_version="99.0")) != baseline
 
