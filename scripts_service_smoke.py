@@ -13,12 +13,14 @@ push; the in-process suite lives in ``tests/test_service/``):
    the announced ephemeral port;
 2. drive a seeded loadgen batch through it: zero client errors, every
    response exact (no degradation on a healthy host), repeats served
-   from the cache;
+   from the cache; then one batch-trials, one defended and one
+   ``analyze`` request, each a different job kind;
 3. deliver SIGINT: the server must drain gracefully (exit code 0,
    drain message printed) and refuse new connections afterwards;
-4. restart over the same cache directory: the first request must be
-   served from the durable cache, bit-identical to the pre-drain
-   answer, without re-executing the experiment.
+4. restart over the same cache directory: one request of every job
+   kind must be served from the durable cache under its pre-drain
+   ``cache_key``, bit-identical to the pre-drain answer, without
+   re-executing anything.
 
 Exit code 0 when every leg holds, 1 otherwise.
 """
@@ -35,6 +37,14 @@ import time
 #: Cheap, registry-real experiments — fast enough for a CI smoke, real
 #: enough to cover the full serve path (registry, runner, cache).
 DEFAULT_IDS = ["table2", "table5", "fig5"]
+
+#: One cheap request of each other job kind (batch trials, defended
+#: channel, static analysis); each is replayed after the restart.
+OTHER_KINDS = [
+    {"op": "run", "experiment_id": "alg1", "trials": 64},
+    {"op": "run", "experiment_id": "alg1", "defense": "fifo"},
+    {"op": "analyze", "policy": "lru", "ways": 4, "defense": "none"},
+]
 
 
 def start_server(cache_dir, extra_args=()):
@@ -144,6 +154,12 @@ def main(argv=None):
         if report.hit_rate <= 0.0:
             print("repeated requests never hit the cache")
             return 1
+        with ServiceClient("127.0.0.1", port, timeout=120.0) as client:
+            kinds = [client.roundtrip(payload) for payload in OTHER_KINDS]
+        for payload, response in zip(OTHER_KINDS, kinds):
+            if response["status"] != "ok" or response.get("degraded"):
+                print(f"{payload}: non-exact response: {response}")
+                return 1
 
         print("[3/4] SIGINT: graceful drain")
         code, tail = drain(process)
@@ -171,6 +187,7 @@ def main(argv=None):
     try:
         with ServiceClient("127.0.0.1", port, timeout=120.0) as client:
             replay = client.request(args.ids[0])
+            replays = [client.roundtrip(payload) for payload in OTHER_KINDS]
         if replay["status"] != "ok" or replay.get("degraded"):
             print(f"replay not exact: {replay}")
             return 1
@@ -180,6 +197,16 @@ def main(argv=None):
         if canonical(replay["result"]) != exact[args.ids[0]]:
             print("replay differs from the pre-drain answer")
             return 1
+        for payload, before, after in zip(OTHER_KINDS, kinds, replays):
+            if after["status"] != "ok" or after.get("source") != "cache":
+                print(f"{payload}: replay not from the cache: {after}")
+                return 1
+            if after["cache_key"] != before["cache_key"]:
+                print(f"{payload}: cache_key changed across the restart")
+                return 1
+            if canonical(after["result"]) != canonical(before["result"]):
+                print(f"{payload}: replay differs from the pre-drain answer")
+                return 1
         code, _ = drain(process)
         if code != 0:
             print(f"second server exited {code}, expected 0")
@@ -190,7 +217,8 @@ def main(argv=None):
     shutil.rmtree(args.cache_dir, ignore_errors=True)
 
     print(f"service smoke: ok — {args.requests} requests, "
-          f"hit rate {summary['hit_rate']}, drain + durable replay exact")
+          f"hit rate {summary['hit_rate']}, drain + durable replay exact "
+          f"for {1 + len(OTHER_KINDS)} job kinds")
     return 0
 
 

@@ -5,11 +5,12 @@ service nodes.  Clients speak the exact single-node line-JSON protocol —
 same ops, same response shapes — and the router makes the cluster look
 like one unusually durable node:
 
-* **placement** — each request's routing key (derived from the same
-  fields the service's result cache hashes) walks the consistent-hash
-  ring to an ordered preference list: R replicas first, every other
-  node as a last resort (any node *can* compute any key; replicas are
-  merely where the cache is warm);
+* **placement** — each request's routing key (from the same
+  :class:`~repro.service.jobspec.JobSpec` that derives the service's
+  result-cache key) walks the consistent-hash ring to an ordered
+  preference list: R replicas first, every other node as a last resort
+  (any node *can* compute any key; replicas are merely where the cache
+  is warm);
 * **failover** — a peer that refuses (rejected / shed / draining) or
   fails at the transport level (dead node, severed link, timeout) is
   struck from the attempt list and the next preference takes over,
@@ -47,6 +48,7 @@ from repro.cluster.repair import AntiEntropyRepairer
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.transport import PeerTransport
 from repro.obs.session import ObsSession
+from repro.service.jobspec import JobSpec
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -107,25 +109,6 @@ class RouterConfig:
     repair_queue_depth: int = 64
     trace_depth: int = 64
     chaos: Optional[ClusterChaosConfig] = field(default=None, repr=False)
-
-
-def routing_key(request: Request) -> str:
-    """The placement key: same identity fields the node caches hash.
-
-    Two requests that a service node would answer from one cache entry
-    produce one routing key, so repeats land on the warm replica.
-    (``refresh`` and ``deadline_ms`` are deliberately excluded — they
-    change *how* a request is served, not *which result* it names.)
-    """
-    if request.op == "analyze":
-        return (
-            f"analyze/{request.policy}/ways={request.ways}/"
-            f"defense={request.defense}"
-        )
-    return (
-        f"run/{request.experiment_id}/trials={request.trials}/"
-        f"defense={request.defense}"
-    )
 
 
 class ClusterRouter:
@@ -378,7 +361,7 @@ class ClusterRouter:
         return min(self.config.request_timeout, deadline.remaining())
 
     async def _route(self, request: Request) -> Dict:
-        key = routing_key(request)
+        key = JobSpec.from_request(request).routing_key
         payload = self._forward_payload(request)
         deadline = (
             deadline_from_ms(request.deadline_ms)

@@ -91,6 +91,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common.errors import ServiceError
+from repro.service.jobspec import check_defense
 
 #: Hard bound on one request/response line, in bytes (newline included).
 MAX_LINE_BYTES = 1_048_576
@@ -100,19 +101,6 @@ PROTOCOL_VERSION = 1
 
 #: Operations a request may name.
 OPS = ("run", "ping", "stats", "analyze", "backfill")
-
-#: Defense models the ``analyze`` op accepts: the closed-table models
-#: of ``repro.analysis.reachability.DEFENSES`` plus the randomized
-#: index designs, which the analyzer answers with a structured refusal
-#: (``result.mode == "refused"``) rather than a wire error.  Kept
-#: literal here so the wire layer does not import the analysis stack.
-ANALYZE_DEFENSES = ("none", "no-hit-update", "ceaser", "skew")
-
-#: Defense designs a ``run`` request may name (mirrors
-#: ``repro.defenses.registry.SIMULATED_DEFENSES``, kept literal so the
-#: wire layer does not import the simulator; a registry test asserts
-#: the mirror).
-RUN_DEFENSES = ("none", "fifo", "random", "no-hit-update", "ceaser", "skew")
 
 #: Associativity bound for ``analyze`` (matches the simulator's caches;
 #: a request beyond it is malformed, not refused).
@@ -203,17 +191,7 @@ def parse_request(line: bytes) -> Request:
     ways = data.get("ways", 0)
     defense = data.get("defense", "none")
     if op == "run":
-        if defense not in RUN_DEFENSES:
-            raise ServiceError(
-                f"unknown defense {defense!r}; expected one of "
-                f"{RUN_DEFENSES}"
-            )
-        if defense != "none" and trials:
-            raise ServiceError(
-                "trials cannot be combined with a defense: the lockstep "
-                "batch engine compiles the undefended single-set layout "
-                "into its policy tables (see docs/DEFENSES.md)"
-            )
+        check_defense(op, defense, trials)
     if op == "analyze":
         if not isinstance(policy, str) or not policy:
             raise ServiceError("op 'analyze' requires a non-empty policy")
@@ -223,11 +201,7 @@ def parse_request(line: bytes) -> Request:
             raise ServiceError(
                 f"ways must be in [1, {MAX_ANALYZE_WAYS}], got {ways}"
             )
-        if defense not in ANALYZE_DEFENSES:
-            raise ServiceError(
-                f"unknown defense {defense!r}; expected one of "
-                f"{ANALYZE_DEFENSES}"
-            )
+        check_defense(op, defense, trials)
     cache_key = data.get("cache_key", "")
     result = data.get("result")
     checksum = data.get("checksum", "")

@@ -45,7 +45,8 @@ from repro.common.deadline import Deadline, deadline_from_ms
 from repro.common.errors import ServiceError
 from repro.experiments.base import EXPERIMENT_REGISTRY, ExperimentResult
 from repro.obs.session import ObsSession
-from repro.service.cache import ResultCache, key_fields, request_key
+from repro.service.cache import ResultCache
+from repro.service.jobspec import JobSpec
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -196,81 +197,87 @@ class TokenBucket:
 # ----------------------------------------------------------------------
 
 
-def _execute_trials(algorithm: str, trials: int) -> Dict:
-    """One multi-trial batch request, executed inline.
+def _failure(error_type: str, message: str) -> Dict:
+    """The outcome of an execution that failed (served degraded)."""
+    return {"ok": False, "error": {"type": error_type, "message": message}}
 
-    The lockstep batch engine (:mod:`repro.sim.batch`) is deterministic
-    and fast enough that crash isolation buys nothing here, so both
-    backends share this path.  The payload is an aggregate summary —
-    one row, not one per trial — so a 100k-trial answer still fits the
-    wire's line bound.
+
+def _raised(error: Exception) -> Dict:
+    """The outcome of an execution that raised ``error``."""
+    return _failure(type(error).__name__, str(error))
+
+
+def _trials_result(algorithm: str, trials: int) -> Dict:
+    """The payload of one multi-trial batch request.
+
+    An aggregate summary — one row, not one per trial — so a 100k-trial
+    answer still fits the wire's line bound.
     """
-    from repro.experiments.base import ExperimentResult
     from repro.sim.batch import run_batch_transfer
 
-    try:
-        transfer = run_batch_transfer(algorithm=algorithm, trials=trials)
-        rates = transfer.error_rates()
-        result = ExperimentResult(
-            experiment_id=f"{algorithm}@trials{trials}",
-            title=(
-                f"batch {algorithm}: {trials} lockstep trials "
-                f"({transfer.message_length} bits/trial)"
-            ),
-            columns=[
-                "trials",
-                "mean_error_rate",
-                "min_error_rate",
-                "max_error_rate",
-            ],
-            rows=[
-                [
-                    trials,
-                    float(rates.mean()),
-                    float(rates.min()),
-                    float(rates.max()),
-                ]
-            ],
-            notes=(
-                f"engine=batch threshold={transfer.threshold:.2f} cycles"
-            ),
-        )
-    except Exception as error:  # noqa: BLE001 - becomes degraded response
-        return {
-            "ok": False,
-            "error": {
-                "type": type(error).__name__,
-                "message": str(error),
-            },
-        }
-    return {"ok": True, "result": result.to_dict()}
+    transfer = run_batch_transfer(algorithm=algorithm, trials=trials)
+    rates = transfer.error_rates()
+    return ExperimentResult(
+        experiment_id=f"{algorithm}@trials{trials}",
+        title=(
+            f"batch {algorithm}: {trials} lockstep trials "
+            f"({transfer.message_length} bits/trial)"
+        ),
+        columns=[
+            "trials",
+            "mean_error_rate",
+            "min_error_rate",
+            "max_error_rate",
+        ],
+        rows=[
+            [
+                trials,
+                float(rates.mean()),
+                float(rates.min()),
+                float(rates.max()),
+            ]
+        ],
+        notes=f"engine=batch threshold={transfer.threshold:.2f} cycles",
+    ).to_dict()
 
 
-def _execute_defended(channel_id: str, defense: str) -> Dict:
-    """One defended-channel request, executed inline.
+class _Backend:
+    """What both backends share: the kinds that never need a worker.
 
-    Mirrors :func:`_execute_trials`: the defended run is a
-    deterministic scalar simulation (seconds, not minutes), so both
-    backends share this path and crash isolation buys nothing.  The
-    payload is one matrix cell — the same row shape as the
-    ``ext_randomized`` baseline (see ``docs/DEFENSES.md``).
+    Batch-trial and defended jobs run in the pool thread under either
+    backend: the vectorized engine holds no machine state a crash could
+    corrupt, a defended run is a short deterministic scalar simulation,
+    and a worker round-trip would cost more than either.  Only
+    registered experiments go through :meth:`_run_experiment`.
     """
-    from repro.experiments.randomized import run_defended_channel
 
-    try:
-        result = run_defended_channel(channel_id, defense=defense)
-    except Exception as error:  # noqa: BLE001 - becomes degraded response
-        return {
-            "ok": False,
-            "error": {
-                "type": type(error).__name__,
-                "message": str(error),
-            },
-        }
-    return {"ok": True, "result": result.to_dict()}
+    def execute(
+        self,
+        experiment_id: str,
+        deadline: Optional[Deadline],
+        trials: int = 0,
+        defense: str = "none",
+    ) -> Dict:
+        if not trials and defense == "none":
+            return self._run_experiment(experiment_id, deadline)
+        from repro.experiments.randomized import run_defended_channel
+
+        try:
+            if trials:
+                result = _trials_result(experiment_id, trials)
+            else:
+                result = run_defended_channel(
+                    experiment_id, defense=defense
+                ).to_dict()
+        except Exception as error:  # noqa: BLE001 - becomes degraded response
+            return _raised(error)
+        return {"ok": True, "result": result}
+
+    def worker_pids(self) -> List[int]:
+        return []
 
 
-class InlineBackend:
+class InlineBackend(_Backend):
     """Execute requests with an in-process :class:`ExperimentRunner`."""
 
     name = "inline"
@@ -285,35 +292,18 @@ class InlineBackend:
             registry=registry,
         )
 
-    def execute(
-        self,
-        experiment_id: str,
-        deadline: Optional[Deadline],
-        trials: int = 0,
-        defense: str = "none",
+    def _run_experiment(
+        self, experiment_id: str, deadline: Optional[Deadline]
     ) -> Dict:
-        if trials:
-            return _execute_trials(experiment_id, trials)
-        if defense != "none":
-            return _execute_defended(experiment_id, defense)
         try:
             result = self.runner.run_one(experiment_id, deadline=deadline)
         except Exception as error:  # noqa: BLE001 - becomes degraded response
-            return {
-                "ok": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                },
-            }
+            return _raised(error)
         return {"ok": True, "result": result.to_dict()}
 
-    def worker_pids(self) -> List[int]:
-        return []
 
-
-class SupervisedBackend:
-    """Execute each request as a one-task supervised-executor batch.
+class SupervisedBackend(_Backend):
+    """Execute each experiment as a one-task supervised-executor batch.
 
     Heavyweight but crash-proof: the experiment runs in a real worker
     process with heartbeats and a hard kill deadline; worker death
@@ -337,26 +327,11 @@ class SupervisedBackend:
         self.worker_chaos = worker_chaos
         self._executor = None
 
-    def execute(
-        self,
-        experiment_id: str,
-        deadline: Optional[Deadline],
-        trials: int = 0,
-        defense: str = "none",
+    def _run_experiment(
+        self, experiment_id: str, deadline: Optional[Deadline]
     ) -> Dict:
         from repro.experiments.runner import ExperimentRunner, _pool_worker
         from repro.experiments.supervisor import SupervisedExecutor
-
-        if trials:
-            # Batch-trial requests run inline even under the supervised
-            # backend: the vectorized engine holds no machine state a
-            # crash could corrupt, and a worker round-trip would cost
-            # more than the transfer itself.
-            return _execute_trials(experiment_id, trials)
-        if defense != "none":
-            # Same reasoning: a defended run is a short deterministic
-            # scalar simulation, not a crash risk worth a worker.
-            return _execute_defended(experiment_id, defense)
 
         config = self.config
         timeout = config.timeout_seconds
@@ -366,13 +341,9 @@ class SupervisedBackend:
             # process boundaries).
             remaining = deadline.bound(timeout)
             if remaining <= 0:
-                return {
-                    "ok": False,
-                    "error": {
-                        "type": "ExperimentTimeout",
-                        "message": "deadline expired before execution",
-                    },
-                }
+                return _failure(
+                    "ExperimentTimeout", "deadline expired before execution"
+                )
             timeout = remaining
         task_deadline = None
         if timeout is not None:
@@ -408,20 +379,13 @@ class SupervisedBackend:
             _, kind, payload, _, _ = record
             if kind == "result":
                 return {"ok": True, "result": payload}
-            return {
-                "ok": False,
-                "error": {
-                    "type": payload.get("error_type", "ExecutorError"),
-                    "message": payload.get("message", ""),
-                },
-            }
-        return {
-            "ok": False,
-            "error": {
-                "type": "ExecutorError",
-                "message": "execution produced no record (interrupted?)",
-            },
-        }
+            return _failure(
+                payload.get("error_type", "ExecutorError"),
+                payload.get("message", ""),
+            )
+        return _failure(
+            "ExecutorError", "execution produced no record (interrupted?)"
+        )
 
     def worker_pids(self) -> List[int]:
         executor = self._executor
@@ -439,8 +403,7 @@ class SupervisedBackend:
 class _Job:
     """One admitted request waiting in (or running from) a pool queue."""
 
-    request: Request
-    key: str
+    spec: JobSpec
     deadline: Optional[Deadline]
     future: "asyncio.Future"
 
@@ -491,10 +454,10 @@ class _Pool:
                 outcome = await loop.run_in_executor(
                     self.executor,
                     self.backend.execute,
-                    job.request.experiment_id,
+                    job.spec.experiment_id,
                     job.deadline,
-                    job.request.trials,
-                    job.request.defense,
+                    job.spec.trials,
+                    job.spec.defense,
                 )
             except asyncio.CancelledError:
                 # Hard drain: the execution thread may still be running,
@@ -502,24 +465,14 @@ class _Pool:
                 # never be published.
                 if not job.future.done():
                     job.future.set_result(
-                        {
-                            "ok": False,
-                            "error": {
-                                "type": "ServiceError",
-                                "message": "drain timeout cancelled "
-                                "the execution",
-                            },
-                        }
+                        _failure(
+                            "ServiceError",
+                            "drain timeout cancelled the execution",
+                        )
                     )
                 raise
             except Exception as error:  # noqa: BLE001 - surfaced to waiter
-                outcome = {
-                    "ok": False,
-                    "error": {
-                        "type": type(error).__name__,
-                        "message": str(error),
-                    },
-                }
+                outcome = _raised(error)
             finally:
                 self.busy = False
             if not job.future.done():
@@ -633,13 +586,9 @@ class ExperimentService:
                 job = pool.queue.get_nowait()
                 if job is not None and not job.future.done():
                     job.future.set_result(
-                        {
-                            "ok": False,
-                            "error": {
-                                "type": "ServiceError",
-                                "message": "server drained before execution",
-                            },
-                        }
+                        _failure(
+                            "ServiceError", "server drained before execution"
+                        )
                     )
         self.cache.flush()
         self._analysis_executor.shutdown(wait=False)
@@ -740,50 +689,27 @@ class ExperimentService:
             return self._stats(request)
         if request.op == "backfill":
             return self._backfill(request)
-        if request.op == "analyze":
-            with self.session.span(
-                "service.request",
-                experiment_id=(
-                    f"analyze/{request.policy}/{request.ways}/"
-                    f"{request.defense}"
-                ),
-                request_id=request.request_id,
-            ):
-                return await self._dispatch_analyze(request)
+        spec = JobSpec.from_request(request)
         with self.session.span(
             "service.request",
-            experiment_id=request.experiment_id,
+            experiment_id=spec.label,
             request_id=request.request_id,
         ):
-            return await self._dispatch_run(request)
+            return await self._dispatch_job(request, spec)
 
-    async def _dispatch_run(self, request: Request) -> Dict:
+    async def _dispatch_job(self, request: Request, spec: JobSpec) -> Dict:
+        """Admission, cache, deadline and singleflight for every kind.
+
+        ``analyze`` jobs then run on the dedicated analysis thread; every
+        ``run`` kind goes to its pool through the breaker and the
+        bounded queue.
+        """
         start = time.monotonic()
         if self.draining:
             return self._base(request, "draining")
-        if request.trials:
-            from repro.sim.batch import BATCH_CHANNELS
-
-            if request.experiment_id not in BATCH_CHANNELS:
-                return error_response(
-                    f"unknown batch algorithm {request.experiment_id!r}; "
-                    f"choose from {sorted(BATCH_CHANNELS)}",
-                    request.request_id,
-                )
-        elif request.defense != "none":
-            from repro.experiments.randomized import DEFENDED_CHANNELS
-
-            if request.experiment_id not in DEFENDED_CHANNELS:
-                return error_response(
-                    f"unknown defended channel {request.experiment_id!r}; "
-                    f"choose from {list(DEFENDED_CHANNELS)}",
-                    request.request_id,
-                )
-        elif request.experiment_id not in self.registry:
-            return error_response(
-                f"unknown experiment {request.experiment_id!r}",
-                request.request_id,
-            )
+        unknown = spec.unknown(self.registry)
+        if unknown is not None:
+            return error_response(unknown, request.request_id)
         if not self.bucket.try_take():
             self.metrics.counter("service.requests.rejected").inc()
             response = self._base(request, "rejected")
@@ -792,33 +718,59 @@ class ExperimentService:
             )
             return response
         self.metrics.counter("service.requests.admitted").inc()
-        if request.defense != "none":
+        if spec.kind == "defended":
             self.metrics.counter(
-                "service.requests.defended", label=request.defense
+                "service.requests.defended", label=spec.defense
             ).inc()
-        key = self._key_for(
-            request.experiment_id, request.trials, request.defense
-        )
-        deadline = deadline_from_ms(request.deadline_ms)
+        elif spec.kind == "analyze":
+            self.metrics.counter("analysis.leakage.requests").inc()
+        key = spec.cache_key(self.config.sanitize, self.registry)
         if not request.refresh:
             payload = self.cache.get_payload(key)
             if payload is not None:
                 return self._ok(
                     request, key, payload, source="cache", start=start
                 )
+        deadline = deadline_from_ms(request.deadline_ms)
+        if deadline is not None and deadline.remaining() <= 0:
+            # Checked once, before any queue: an already-blown budget is
+            # no evidence against the pool, so the breaker never sees it.
+            stage = "analysis" if spec.kind == "analyze" else "execution"
+            self.metrics.counter("service.requests.degraded").inc()
+            return self._degraded(
+                request,
+                spec,
+                key,
+                start,
+                error={
+                    "type": "ExperimentTimeout",
+                    "message": f"deadline expired before {stage}",
+                },
+            )
         inflight = self._inflight.get(key)
         if inflight is not None:
-            # Coalesce onto the running execution instead of queueing a
+            # Coalesce onto the running execution instead of starting a
             # duplicate (singleflight).
             outcome = await asyncio.shield(inflight)
-            return self._finish(
-                request, key, dict(outcome), start, record_breaker=False
-            )
-        pool = self._pool_for(request.experiment_id)
+            return self._finish(request, spec, key, dict(outcome), start)
+        if spec.kind == "analyze":
+            return await self._analyze(request, spec, key, start)
+        return await self._enqueue(request, spec, key, deadline, start)
+
+    async def _enqueue(
+        self,
+        request: Request,
+        spec: JobSpec,
+        key: str,
+        deadline: Optional[Deadline],
+        start: float,
+    ) -> Dict:
+        pool = self._pool_for(spec.experiment_id)
         if not pool.breaker.allow():
             self.metrics.counter("service.requests.degraded").inc()
             return self._degraded(
                 request,
+                spec,
                 key,
                 start,
                 error={
@@ -828,9 +780,7 @@ class ExperimentService:
             )
         self._publish_breaker_state(pool.breaker)
         future = asyncio.get_running_loop().create_future()
-        job = _Job(
-            request=request, key=key, deadline=deadline, future=future
-        )
+        job = _Job(spec=spec, deadline=deadline, future=future)
         try:
             pool.queue.put_nowait(job)
         except asyncio.QueueFull:
@@ -846,64 +796,20 @@ class ExperimentService:
             outcome = await future
         finally:
             self._inflight.pop(key, None)
-        response = self._finish(
-            request, key, outcome, start, pool=pool, record_breaker=True
-        )
-        return response
+        return self._finish(request, spec, key, outcome, start, pool=pool)
 
-    async def _dispatch_analyze(self, request: Request) -> Dict:
-        """The zero-simulation analytic endpoint (ROADMAP item 2).
+    async def _analyze(
+        self, request: Request, spec: JobSpec, key: str, start: float
+    ) -> Dict:
+        """The zero-simulation analytic endpoint.
 
-        Same admission, deadline, cache, and singleflight rules as
-        ``run``, but execution is a static table walk on a dedicated
-        analysis thread — no experiment pool, no breaker (there is no
-        flaky dependency to trip on: the analysis is deterministic).
-        A shape whose state space exceeds the eager budget is served as
-        a *structured refusal* (``result.mode == "refused"``), cached
-        like any other answer.
+        Execution is a static table walk on a dedicated analysis thread
+        — no experiment pool, no breaker (there is no flaky dependency
+        to trip on: the analysis is deterministic).  A shape whose state
+        space exceeds the eager budget is served as a *structured
+        refusal* (``result.mode == "refused"``), cached like any other
+        answer.
         """
-        start = time.monotonic()
-        if self.draining:
-            return self._base(request, "draining")
-        if not self._analyzable(request.policy):
-            return error_response(
-                f"unknown or non-analyzable policy {request.policy!r}",
-                request.request_id,
-            )
-        if not self.bucket.try_take():
-            self.metrics.counter("service.requests.rejected").inc()
-            response = self._base(request, "rejected")
-            response["retry_after_ms"] = round(
-                self.bucket.retry_after() * 1000.0, 3
-            )
-            return response
-        self.metrics.counter("service.requests.admitted").inc()
-        self.metrics.counter("analysis.leakage.requests").inc()
-        key = self._analysis_key(
-            request.policy, request.ways, request.defense
-        )
-        if not request.refresh:
-            payload = self.cache.get_payload(key)
-            if payload is not None:
-                return self._ok(
-                    request, key, payload, source="cache", start=start
-                )
-        deadline = deadline_from_ms(request.deadline_ms)
-        if deadline is not None and deadline.remaining() <= 0:
-            self.metrics.counter("service.requests.degraded").inc()
-            return self._degraded(
-                request,
-                key,
-                start,
-                error={
-                    "type": "ExperimentTimeout",
-                    "message": "deadline expired before analysis",
-                },
-            )
-        inflight = self._inflight.get(key)
-        if inflight is not None:
-            outcome = await asyncio.shield(inflight)
-            return self._finish_analyze(request, key, dict(outcome), start)
         loop = asyncio.get_running_loop()
         future = loop.create_future()
         self._inflight[key] = future
@@ -911,37 +817,17 @@ class ExperimentService:
             outcome = await loop.run_in_executor(
                 self._analysis_executor,
                 self._run_analysis,
-                request.policy,
-                request.ways,
-                request.defense,
+                spec.policy,
+                spec.ways,
+                spec.defense,
             )
         except Exception as error:  # noqa: BLE001 - surfaced as degraded
-            outcome = {
-                "ok": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                },
-            }
+            outcome = _raised(error)
         finally:
             self._inflight.pop(key, None)
             if not future.done():
                 future.set_result(outcome)
-        return self._finish_analyze(request, key, outcome, start)
-
-    @staticmethod
-    def _analyzable(policy: str) -> bool:
-        from repro.analysis.leakage import ANALYTIC_POLICIES, SKIPPED_POLICIES
-        from repro.replacement import POLICY_REGISTRY
-        from repro.replacement.tables import TABLEABLE_POLICIES
-
-        if policy in SKIPPED_POLICIES:
-            return False
-        return (
-            policy in POLICY_REGISTRY
-            or policy in TABLEABLE_POLICIES
-            or policy in ANALYTIC_POLICIES
-        )
+        return self._finish(request, spec, key, outcome, start)
 
     @staticmethod
     def _run_analysis(policy: str, ways: int, defense: str) -> Dict:
@@ -951,78 +837,48 @@ class ExperimentService:
         try:
             entry = analyze_policy(policy, ways, defense=defense)
         except Exception as error:  # noqa: BLE001 - becomes degraded
-            return {
-                "ok": False,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                },
-            }
+            return _raised(error)
         return {"ok": True, "result": entry.to_dict()}
-
-    def _finish_analyze(
-        self, request: Request, key: str, outcome: Dict, start: float
-    ) -> Dict:
-        if outcome.get("ok"):
-            payload = outcome.get("payload")
-            if payload is None:
-                result = outcome["result"]
-                if result.get("mode") == "refused":
-                    self.metrics.counter("analysis.leakage.refused").inc()
-                else:
-                    self.metrics.counter(
-                        "analysis.leakage.computed", label=request.policy
-                    ).inc()
-                payload = self.cache.put(key, {"key": key, "result": result})
-                outcome["payload"] = payload
-                self._maybe_corrupt(key)
-            return self._ok(
-                request, key, payload, source="analysis", start=start
-            )
-        self.metrics.counter("service.requests.degraded").inc()
-        return self._degraded(request, key, start, error=outcome.get("error"))
-
-    def _analysis_key(self, policy: str, ways: int, defense: str) -> str:
-        from repro.replacement.tables import EAGER_STATE_BUDGET
-
-        return request_key(
-            key_fields(
-                experiment_id=(
-                    f"analyze/{policy}/ways={ways}/defense={defense}/"
-                    f"budget={EAGER_STATE_BUDGET}"
-                ),
-                seed=0,
-                sanitize=False,
-            )
-        )
 
     def _finish(
         self,
         request: Request,
+        spec: JobSpec,
         key: str,
         outcome: Dict,
         start: float,
         pool: Optional[_Pool] = None,
-        record_breaker: bool = True,
     ) -> Dict:
+        """Memoize and answer one outcome; ``pool`` feeds its breaker.
+
+        Singleflight waiters pass no pool: only the execution that ran
+        counts for or against the breaker.
+        """
         if outcome.get("ok"):
-            if record_breaker and pool is not None:
+            if pool is not None:
                 pool.breaker.record_success()
                 self._publish_breaker_state(pool.breaker)
             payload = outcome.get("payload")
             if payload is None:
-                payload = self.cache.put(
-                    key, {"key": key, "result": outcome["result"]}
-                )
+                result = outcome["result"]
+                if spec.kind == "analyze":
+                    if result.get("mode") == "refused":
+                        self.metrics.counter("analysis.leakage.refused").inc()
+                    else:
+                        self.metrics.counter(
+                            "analysis.leakage.computed", label=spec.policy
+                        ).inc()
+                payload = self.cache.put(key, {"key": key, "result": result})
                 outcome["payload"] = payload
                 self._maybe_corrupt(key)
-            return self._ok(request, key, payload, source="pool", start=start)
-        if record_breaker and pool is not None:
+            source = "analysis" if spec.kind == "analyze" else "pool"
+            return self._ok(request, key, payload, source=source, start=start)
+        if pool is not None:
             pool.breaker.record_failure()
             self._publish_breaker_state(pool.breaker)
         self.metrics.counter("service.requests.degraded").inc()
         return self._degraded(
-            request, key, start, error=outcome.get("error")
+            request, spec, key, start, error=outcome.get("error")
         )
 
     # -- response builders ----------------------------------------------
@@ -1056,6 +912,7 @@ class ExperimentService:
     def _degraded(
         self,
         request: Request,
+        spec: JobSpec,
         key: str,
         start: float,
         error: Optional[Dict] = None,
@@ -1074,7 +931,7 @@ class ExperimentService:
             response["result"] = cached["result"]
         else:
             response["source"] = "stub"
-            response["result"] = analytic_stub(request.experiment_id)
+            response["result"] = analytic_stub(spec.label)
         if error is not None:
             response["error"] = error
         response["elapsed_ms"] = round(
@@ -1127,45 +984,6 @@ class ExperimentService:
         return response
 
     # -- plumbing -------------------------------------------------------
-
-    def _key_for(
-        self, experiment_id: str, trials: int = 0, defense: str = "none"
-    ) -> str:
-        from repro.experiments.runner import ExperimentRunner
-
-        if defense != "none":
-            # Defended channel runs: the design is part of the result
-            # bits, and run_defended_channel pins its own master seed.
-            return request_key(
-                key_fields(
-                    experiment_id=f"{experiment_id}@{defense}",
-                    seed=17,
-                    sanitize=self.config.sanitize,
-                )
-            )
-        if trials:
-            # Batch-trial requests: the trial count is part of the
-            # result bits, and the seed is fixed by the batch path
-            # (deterministic counter-based streams from the batch
-            # engine's default master seed).
-            return request_key(
-                key_fields(
-                    experiment_id=f"{experiment_id}@trials{trials}",
-                    seed=None,
-                    sanitize=self.config.sanitize,
-                )
-            )
-        parameter = ExperimentRunner._rng_parameter(
-            self.registry[experiment_id]
-        )
-        seed = ExperimentRunner._attempt_seed(parameter, 0)
-        return request_key(
-            key_fields(
-                experiment_id=experiment_id,
-                seed=seed,
-                sanitize=self.config.sanitize,
-            )
-        )
 
     def _pool_for(self, experiment_id: str) -> _Pool:
         digest = hashlib.sha256(experiment_id.encode("utf-8")).digest()

@@ -30,7 +30,6 @@ from repro.analysis.leakage import (
     diff_reports,
 )
 from repro.analysis.reachability import (
-    DEFENSES,
     absorbed_levels,
     build_system,
     hitmiss_observer_partition,
@@ -394,14 +393,6 @@ class TestMatrixContract:
 
     def test_tableable_and_analytic_policies_do_not_overlap(self):
         assert not set(TABLEABLE_POLICIES) & set(ANALYTIC_POLICIES)
-
-    def test_protocol_defenses_mirror_analysis_defenses(self):
-        from repro.analysis.leakage import RANDOMIZED_DEFENSES
-        from repro.service.protocol import ANALYZE_DEFENSES
-
-        assert tuple(ANALYZE_DEFENSES) == tuple(DEFENSES) + tuple(
-            RANDOMIZED_DEFENSES
-        )
 
     def test_report_roundtrips_through_json(self):
         report = analyze_matrix(policies=["lru", "fifo"], ways=(4,))

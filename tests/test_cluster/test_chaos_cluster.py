@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.cluster.chaos import ClusterChaosConfig
-from repro.cluster.router import routing_key
+from repro.service.jobspec import JobSpec
 from repro.service.loadgen import build_schedule, run_load
 from repro.service.protocol import parse_request
 
@@ -154,9 +154,9 @@ class TestMidRequestKill:
             registry=registry,
             router_kwargs={"hedge_initial": 5.0, "hedge_warmup": 10**6},
         )
-        key = routing_key(
+        key = JobSpec.from_request(
             parse_request(b'{"op": "run", "experiment_id": "sleepy"}\n')
-        )
+        ).routing_key
         primary = cluster.router.ring.preference(key)[0]
         holder = {}
 
@@ -180,9 +180,9 @@ class TestMidRequestKill:
 
 class TestSlowPeerHedging:
     def test_hedge_rescues_a_stalling_primary(self, cluster_factory):
-        key = routing_key(
+        key = JobSpec.from_request(
             parse_request(b'{"op": "run", "experiment_id": "alpha"}\n')
-        )
+        ).routing_key
         # Compute placement up front so only the primary stalls.
         from repro.cluster import Membership
         from repro.cluster.ring import HashRing

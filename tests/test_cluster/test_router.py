@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import ClusterRouter, Membership, RouterConfig
 from repro.cluster.ring import HashRing
-from repro.cluster.router import routing_key
+from repro.service.jobspec import JobSpec
 from repro.common.errors import PeerUnavailable
 from repro.service.protocol import parse_request
 
@@ -26,19 +26,26 @@ def make_request(payload):
     return parse_request((json.dumps(payload) + "\n").encode())
 
 
+def routing_key_of(payload):
+    return JobSpec.from_request(make_request(payload)).routing_key
+
+
 class TestRoutingKey:
     def test_run_key_fields(self):
         request = make_request(
             {"op": "run", "experiment_id": "alpha", "trials": 5}
         )
-        assert routing_key(request) == "run/alpha/trials=5/defense=none"
+        assert (
+            JobSpec.from_request(request).routing_key
+            == "run/alpha/trials=5/defense=none"
+        )
 
     def test_analyze_key_fields(self):
         request = make_request(
             {"op": "analyze", "policy": "tree-plru", "ways": 8}
         )
         assert (
-            routing_key(request)
+            JobSpec.from_request(request).routing_key
             == "analyze/tree-plru/ways=8/defense=none"
         )
 
@@ -52,7 +59,10 @@ class TestRoutingKey:
                 "deadline_ms": 50,
             }
         )
-        assert routing_key(plain) == routing_key(dressed)
+        assert (
+            JobSpec.from_request(plain).routing_key
+            == JobSpec.from_request(dressed).routing_key
+        )
 
 
 class ScriptedTransport:
@@ -121,9 +131,7 @@ class TestRouteUnit:
             {"a": ok_response("a"), "b": ok_response("b"),
              "c": ok_response("c")}
         )
-        primary = router.ring.preference(
-            routing_key(make_request(RUN))
-        )[0]
+        primary = router.ring.preference(routing_key_of(RUN))[0]
         response = self._route(router, RUN)
         assert response["status"] == "ok"
         assert response["result"] == {"from": primary}
@@ -133,7 +141,7 @@ class TestRouteUnit:
     def test_transport_failure_fails_over(self):
         behavior = {name: ok_response(name) for name in "abc"}
         router = make_router(behavior)
-        order = router.ring.preference(routing_key(make_request(RUN)))
+        order = router.ring.preference(routing_key_of(RUN))
         router.transport.behavior[order[0]] = unavailable()
         response = self._route(router, RUN)
         assert response["status"] == "ok"
@@ -170,7 +178,7 @@ class TestRouteUnit:
     def test_hedged_backup_wins_over_slow_primary(self):
         behavior = {name: ok_response(name) for name in "abc"}
         router = make_router(behavior, hedge_initial=0.02)
-        order = router.ring.preference(routing_key(make_request(RUN)))
+        order = router.ring.preference(routing_key_of(RUN))
         router.transport.behavior[order[0]] = ok_response(
             order[0], latency=1.0
         )
@@ -196,7 +204,7 @@ class TestRouteUnit:
     def test_degraded_answer_schedules_repair(self):
         behavior = {name: ok_response(name) for name in "abc"}
         router = make_router(behavior)
-        order = router.ring.preference(routing_key(make_request(RUN)))
+        order = router.ring.preference(routing_key_of(RUN))
         router.transport.behavior[order[0]] = ok_response(
             order[0], degraded=True
         )
@@ -216,7 +224,7 @@ class TestRouteUnit:
     def test_open_breakers_are_tried_last(self):
         behavior = {name: ok_response(name) for name in "abc"}
         router = make_router(behavior, breaker_failures=1)
-        order = router.ring.preference(routing_key(make_request(RUN)))
+        order = router.ring.preference(routing_key_of(RUN))
         router.breakers[order[0]].record_failure()
         assert router.breakers[order[0]].state == "open"
         response = self._route(router, RUN)
@@ -240,8 +248,7 @@ class TestClusterIntegration:
 
     def test_killed_primary_fails_over_exactly(self, cluster_factory):
         cluster = cluster_factory()
-        key = routing_key(make_request({"op": "run",
-                                        "experiment_id": "gamma"}))
+        key = routing_key_of({"op": "run", "experiment_id": "gamma"})
         primary = cluster.router.ring.preference(key)[0]
         cluster.kill_node(primary)
         with cluster.client() as client:
@@ -299,9 +306,7 @@ def find_primary(names, experiment_id):
         ",".join(f"{name}=h:{7100 + i}" for i, name in enumerate(names))
     )
     ring = HashRing(membership.peers, replicas=2)
-    key = routing_key(
-        make_request({"op": "run", "experiment_id": experiment_id})
-    )
+    key = routing_key_of({"op": "run", "experiment_id": experiment_id})
     return ring.preference(key)
 
 

@@ -1,9 +1,9 @@
 """Defense registry: one source of truth for CLI, service, analyzer.
 
 docs/DEFENSES.md promises that every evaluable defense is one
-``DefenseDesign`` entry and that the protocol's ``RUN_DEFENSES``
-whitelist, the simulated-machine builder, and the analyzer's refusal
-list all mirror it.  These tests police those mirrors.
+``DefenseDesign`` entry and that the simulated-machine builder and the
+analyzer's refusal list both mirror it (the service's ``run`` op reads
+``SIMULATED_DEFENSES`` directly).  These tests police those mirrors.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.defenses.registry import (
     defended_machine,
     get_design,
 )
-from repro.service.protocol import RUN_DEFENSES
 
 
 class TestRegistryContents:
@@ -54,9 +53,6 @@ class TestRegistryContents:
 
 
 class TestMirrors:
-    def test_service_run_whitelist_mirrors_simulated_designs(self):
-        assert tuple(RUN_DEFENSES) == SIMULATED_DEFENSES
-
     def test_analyzer_refusal_list_mirrors_randomized_designs(self):
         assert tuple(RANDOMIZED_DEFENSES) == RANDOMIZED_DESIGNS
 

@@ -125,10 +125,16 @@ class TestAnalyzeOp:
         harness = harness_factory(registry=dict(fakes.FAST_REGISTRY))
         with harness.client() as client:
             response = client.analyze("bit-plru", 4, deadline_ms=0)
-        # Nothing cached yet and no time to compute: a degraded stub.
+        # Nothing cached yet and no time to compute: a degraded stub,
+        # named after the job it stands in for.
         assert response["status"] == "ok"
         assert response["degraded"]
         assert response["error"]["type"] == "ExperimentTimeout"
+        assert response["source"] == "stub"
+        assert (
+            response["result"]["experiment_id"]
+            == "analyze/bit-plru/ways=4/defense=none"
+        )
 
     def test_refresh_bypasses_the_cache_read(self, harness_factory):
         harness = harness_factory(registry=dict(fakes.FAST_REGISTRY))

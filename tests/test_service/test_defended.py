@@ -13,8 +13,10 @@ import json
 import pytest
 
 from repro.common.errors import ServiceError
-from repro.service.protocol import RUN_DEFENSES, parse_request
-from repro.service.server import ExperimentService, ServiceConfig
+from repro.defenses.registry import SIMULATED_DEFENSES
+from repro.experiments.base import EXPERIMENT_REGISTRY
+from repro.service.jobspec import JobSpec
+from repro.service.protocol import parse_request
 
 from . import fakes
 
@@ -35,7 +37,7 @@ class TestParseGate:
         assert request.defense == "ceaser"
 
     def test_every_registered_simulable_design_parses(self):
-        for defense in RUN_DEFENSES:
+        for defense in SIMULATED_DEFENSES:
             request = parse_request(
                 _line(op="run", experiment_id="alg1", defense=defense)
             )
@@ -93,11 +95,15 @@ class TestDefendedExecution:
 
 
 class TestCacheKeys:
-    def test_defense_is_part_of_the_cache_key(self, tmp_path):
-        service = ExperimentService(
-            ServiceConfig(cache_dir=str(tmp_path / "cache"))
+    def test_defense_is_part_of_the_cache_key(self):
+        import repro.experiments  # noqa: F401 - populates the registry
+
+        plain, defended, other = (
+            JobSpec.from_request(
+                parse_request(
+                    _line(op="run", experiment_id="occupancy", defense=d)
+                )
+            ).cache_key(False, EXPERIMENT_REGISTRY)
+            for d in ("none", "ceaser", "skew")
         )
-        plain = service._key_for("occupancy")
-        defended = service._key_for("occupancy", defense="ceaser")
-        other = service._key_for("occupancy", defense="skew")
         assert len({plain, defended, other}) == 3

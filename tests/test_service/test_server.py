@@ -242,6 +242,51 @@ class TestDeadlines:
         assert not response["degraded"]
         assert response["source"] == "pool"
 
+    @pytest.mark.parametrize(
+        "payload,label,stage",
+        [
+            ({"op": "run", "experiment_id": "alpha"}, "alpha", "execution"),
+            (
+                {"op": "run", "experiment_id": "alg1", "trials": 10},
+                "alg1@trials10",
+                "execution",
+            ),
+            (
+                {"op": "run", "experiment_id": "alg1", "defense": "fifo"},
+                "alg1@fifo",
+                "execution",
+            ),
+            (
+                {"op": "analyze", "policy": "lru", "ways": 4},
+                "analyze/lru/ways=4/defense=none",
+                "analysis",
+            ),
+        ],
+        ids=["experiment", "trials", "defended", "analyze"],
+    )
+    def test_expired_deadline_degrades_before_queueing(
+        self, harness_factory, payload, label, stage
+    ):
+        # One failure would open the breaker: an expired budget must
+        # neither execute nor count against the pool.
+        harness = harness_factory(
+            registry=dict(fakes.FAST_REGISTRY), pools=1, breaker_failures=1
+        )
+        with harness.client() as client:
+            response = client.roundtrip(dict(payload, deadline_ms=0))
+            stats = client.stats()
+        assert response["status"] == "ok"
+        assert response["degraded"]
+        assert response["source"] == "stub"
+        assert response["result"]["experiment_id"] == label
+        assert response["error"] == {
+            "type": "ExperimentTimeout",
+            "message": f"deadline expired before {stage}",
+        }
+        assert stats["pools"]["pool-0"]["breaker"] == "closed"
+        assert stats["cache_entries"] == 0
+        assert stats["metrics"]["counters"]["service.requests.degraded"] == 1
+
 
 class TestSingleflight:
     def test_concurrent_identical_requests_execute_once(
