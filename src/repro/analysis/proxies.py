@@ -440,10 +440,21 @@ def sanitize_cache_set(
 
 
 def sanitize_cache(cache, trace: Optional[AccessTrace] = None):
-    """Wrap every set of a :class:`SetAssociativeCache`-like object."""
+    """Wrap every set of a :class:`SetAssociativeCache`-like object.
+
+    Sets built so far are wrapped now; sets a
+    :class:`~repro.cache.cache.LazySets` builds later are wrapped by an
+    ``on_build`` hook as they are built, so sanitizing never builds the
+    untouched sets.
+    """
     if trace is None:
         trace = AccessTrace()
     label = getattr(getattr(cache, "config", None), "name", "") or "cache"
-    for index, cache_set in enumerate(cache.sets):
+
+    def wrap(index, cache_set):
         sanitize_cache_set(cache_set, set_index=index, trace=trace, label=label)
+
+    for index, cache_set in cache.sets.built():
+        wrap(index, cache_set)
+    cache.sets.on_build.append(wrap)
     return cache

@@ -8,14 +8,15 @@ fill) override the small hook methods rather than the control flow.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.cache_set import CacheSet
 from repro.cache.config import CacheConfig
 from repro.cache.way_predictor import WayPredictor
 from repro.common.compat import DATACLASS_SLOTS
-from repro.common.rng import RngLike, make_rng, spawn_rng
+from repro.common.rng import RngLike, make_rng, spawn_seed
 from repro.common.types import AccessType, MemoryAccess
 from repro.perf.counters import CounterBank
 from repro.replacement import make_policy
@@ -51,6 +52,58 @@ class FillResult:
     uncached: bool = False
 
 
+class LazySets(dict):
+    """A level's sets by index, each built the first time it is indexed.
+
+    Most levels see a small fraction of their sets touched (a channel
+    works one target set; an L2 of 2048 sets replays a few thousand
+    accesses), so building every set up front dominated short runs.
+    Indexing a built set is a plain dict lookup; a missing index calls
+    :meth:`__missing__`, which builds the set, runs the ``on_build``
+    hooks and stores it.  ``len`` is the level's set count and iteration
+    visits every index in order, building the sets it reaches, so the
+    container reads like the list it replaces.
+
+    Args:
+        count: Number of sets in the level.
+        build: Called with an index; returns that index's new set.
+    """
+
+    __slots__ = ("_count", "_build", "on_build")
+
+    def __init__(self, count: int, build: Callable[[int], CacheSet]):
+        super().__init__()
+        self._count = count
+        self._build = build
+        #: Callables run as ``hook(index, cache_set)`` on each new set,
+        #: before any access reaches it (the sanitizer wraps sets here).
+        self.on_build: List[Callable[[int, CacheSet], None]] = []
+
+    def __missing__(self, index) -> CacheSet:
+        position = operator.index(index)
+        if position < 0:
+            position += self._count
+        if not 0 <= position < self._count:
+            raise IndexError(f"set index {index} out of range")
+        if position != index:
+            return self[position]
+        cache_set = self[position] = self._build(position)
+        for hook in self.on_build:
+            hook(position, cache_set)
+        return cache_set
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[CacheSet]:
+        for index in range(self._count):
+            yield self[index]
+
+    def built(self) -> List[Tuple[int, CacheSet]]:
+        """``(index, set)`` for every set built so far, in index order."""
+        return sorted(self.items())
+
+
 class SetAssociativeCache:
     """A single cache level with per-set replacement policies.
 
@@ -76,17 +129,27 @@ class SetAssociativeCache:
         self.way_predictor = way_predictor
         self._index_fn = index_function
         self.counters = CounterBank(level_name=config.name)
+        # Per-set random-replacement streams are drawn now, in index
+        # order, so a set's stream does not depend on when (or whether)
+        # it is built, nor on what else draws from ``rng`` later.
         base_rng = make_rng(rng)
-        self.sets: List[CacheSet] = []
-        for index in range(config.num_sets):
-            policy = self._make_policy(config, base_rng, index)
-            self.sets.append(self._make_set(config.ways, policy))
+        self._set_seeds = (
+            [spawn_seed(base_rng, f"set{i}") for i in range(config.num_sets)]
+            if config.policy == "random"
+            else None
+        )
+        self.sets = LazySets(config.num_sets, self._build_set)
 
-    @staticmethod
-    def _make_policy(config: CacheConfig, base_rng, index: int):
-        if config.policy == "random":
+    def _build_set(self, index: int) -> CacheSet:
+        return self._make_set(self.config.ways, self._make_policy(index))
+
+    def _make_policy(self, index: int):
+        config = self.config
+        if self._set_seeds is not None:
             return make_policy(
-                config.policy, config.ways, rng=spawn_rng(base_rng, f"set{index}")
+                config.policy,
+                config.ways,
+                rng=make_rng(self._set_seeds[index]),
             )
         return make_policy(config.policy, config.ways)
 
@@ -247,11 +310,12 @@ class SetAssociativeCache:
 
     def contents(self) -> Dict[int, List[int]]:
         """Mapping set index -> resident line addresses."""
-        return {
-            i: s.resident_addresses()
-            for i, s in enumerate(self.sets)
-            if s.resident_addresses()
-        }
+        contents = {}
+        for index, cache_set in self.sets.built():
+            resident = cache_set.resident_addresses()
+            if resident:
+                contents[index] = resident
+        return contents
 
     def reset_counters(self) -> None:
         self.counters.reset()

@@ -146,7 +146,7 @@ class RandomizedIndexCache(SetAssociativeCache):
         self.epoch += 1
         self._lookups_this_epoch = 0
         self._index_fn.rekey(epoch_key(self._master, self.epoch))
-        for cache_set in self.sets:
+        for _, cache_set in self.sets.built():
             for line in cache_set.lines:
                 line.invalidate()
 
@@ -245,6 +245,6 @@ class SkewedAssociativeCache(SetAssociativeCache):
         """Re-key every way's mapping and flush (epoch rotation)."""
         self.epoch += 1
         self._index_fn.rekey(epoch_key(self._master, self.epoch))
-        for cache_set in self.sets:
+        for _, cache_set in self.sets.built():
             for line in cache_set.lines:
                 line.invalidate()

@@ -48,6 +48,16 @@ def make_rng(seed: RngLike = None) -> random.Random:
     return random.Random(seed)
 
 
+def spawn_seed(parent: random.Random, label: str = "") -> int:
+    """Draw the seed of a child stream from a parent (see :func:`spawn_rng`).
+
+    Lets a caller draw child seeds now, in a fixed order, and build the
+    child RNGs later only where they are needed.
+    """
+    salt = sum(ord(c) for c in label)
+    return parent.getrandbits(64) ^ (salt * 0x9E3779B97F4A7C15)
+
+
 def spawn_rng(parent: random.Random, label: str = "") -> random.Random:
     """Derive an independent child RNG from a parent.
 
@@ -55,8 +65,7 @@ def spawn_rng(parent: random.Random, label: str = "") -> random.Random:
     child streams decorrelated even when many children are spawned, and
     keeps the parent's own stream advancing deterministically.
     """
-    salt = sum(ord(c) for c in label)
-    return random.Random(parent.getrandbits(64) ^ (salt * 0x9E3779B97F4A7C15))
+    return random.Random(spawn_seed(parent, label))
 
 
 # -- vectorized counter-based streams (batch engine) ----------------------

@@ -8,9 +8,10 @@ the pool with a small supervisor built the way long-running campaign
 drivers (gem5 batch runners, cluster schedulers) are built:
 
 * **long-lived workers, explicit assignment** — each worker process
-  pulls from its own single-slot queue, so the supervisor always knows
-  exactly which task every worker owns; nothing is ever lost "somewhere
-  in a shared queue";
+  pulls from its own single-slot queue and reports on its own result
+  pipe, so the supervisor always knows exactly which task every worker
+  owns; nothing is ever lost "somewhere in a shared queue", and a worker
+  killed mid-report tears only its own pipe;
 * **heartbeats** — a worker-side thread stamps a shared array every
   ``heartbeat_interval`` seconds; a stale stamp means the process is
   frozen (not merely busy: the heartbeat thread beats through a busy
@@ -40,11 +41,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
 import signal as signal_module
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ExecutorError
@@ -109,6 +110,9 @@ class _WorkerSlot:
     index: int
     process: Optional[multiprocessing.Process] = None
     task_queue: Optional[multiprocessing.Queue] = None
+    #: Read end of the worker's result pipe; the worker holds the only
+    #: write end, so its death is this pipe's end of file.
+    results: Optional[Connection] = None
     task_id: Optional[str] = None
     attempt: int = 0
     assigned_at: float = 0.0
@@ -123,7 +127,7 @@ class _WorkerSlot:
 def _worker_main(
     index: int,
     task_queue,
-    result_queue,
+    results: Connection,
     heartbeats,
     heartbeat_interval: float,
     worker_fn: Callable,
@@ -176,7 +180,7 @@ def _worker_main(
                     chaos_exit()
             else:
                 record = worker_fn(spec)
-            result_queue.put((index, task_id, record))
+            results.send((task_id, record))
     finally:
         stop.set()
 
@@ -275,11 +279,10 @@ class SupervisedExecutor:
 
         ``on_record`` fires in this process, in completion order, with
         each worker record — plus synthesized quarantine records for
-        poison tasks, shaped like ``worker_fn`` failure records.  A task
-        re-run after a worker death may (rarely, when the dying worker's
-        result was already in flight) deliver its record twice;
-        consumers must be idempotent per task id, which checkpoint-merge
-        semantics already are.
+        poison tasks, shaped like ``worker_fn`` failure records.  Each
+        task's record arrives once: a dead worker's pipe is read to its
+        end before its task is requeued, and a report it tore in half
+        is dropped with it.
         """
         self._pending: List[str] = [task_id for task_id, _ in tasks]
         self._specs: Dict[str, object] = dict(tasks)
@@ -287,9 +290,7 @@ class SupervisedExecutor:
             raise ValueError("duplicate task ids in batch")
         self._crashes: Dict[str, int] = {}
         self._first_assigned: Dict[str, float] = {}
-        self._completed: set = set()
         self._on_record = on_record
-        self._result_queue: multiprocessing.Queue = multiprocessing.Queue()
         self._heartbeats = multiprocessing.Array(
             "d", max(self.jobs, 1), lock=False
         )
@@ -370,30 +371,39 @@ class SupervisedExecutor:
             slot.task_queue.put((task_id, attempt, self._specs[task_id]))
 
     def _drain_results(self) -> None:
-        try:
-            message = self._result_queue.get(timeout=self.poll_interval)
-        except queue_module.Empty:
+        readers = {
+            slot.results: slot
+            for slot in self._slots
+            if slot.results is not None
+        }
+        if not readers:
+            time.sleep(self.poll_interval)
             return
-        while True:
-            self._handle_result(message)
-            try:
-                message = self._result_queue.get_nowait()
-            except queue_module.Empty:
-                return
+        for reader in wait(list(readers), timeout=self.poll_interval):
+            self._read_results(readers[reader])
 
-    def _handle_result(self, message) -> None:
-        index, task_id, record = message
-        slot = self._slots[index]
+    def _read_results(self, slot: _WorkerSlot) -> None:
+        """Handle every report waiting in ``slot``'s result pipe.
+
+        End of file, with or without a torn report before it, means the
+        worker is gone: the pipe is closed and the next liveness check
+        accounts for the death.
+        """
+        reader = slot.results
+        try:
+            while reader.poll():
+                self._handle_result(slot, reader.recv())
+        except (EOFError, OSError):
+            reader.close()
+            slot.results = None
+
+    def _handle_result(self, slot: _WorkerSlot, message) -> None:
+        task_id, record = message
         if slot.task_id == task_id:
             slot.task_id = None
             slot.attempt = 0
             slot.respawns_without_completion = 0
         self._crashes.pop(task_id, None)
-        if task_id in self._completed:
-            # Late duplicate from a worker that died mid-report after a
-            # re-run already finished; results are bit-identical, drop.
-            return
-        self._completed.add(task_id)
         self._on_record(record)
 
     def _police_workers(self) -> None:
@@ -427,6 +437,9 @@ class SupervisedExecutor:
         """Account for a dead worker, requeue/quarantine its task, respawn."""
         if slot.process is not None:
             slot.process.join(5.0)
+            if slot.results is not None and not slot.process.is_alive():
+                # Reports it finished before it died still count.
+                self._read_results(slot)
         self.stats.workers_crashed += 1
         self._metric("executor.workers.crashed")
         if cause == "deadline":
@@ -453,6 +466,7 @@ class SupervisedExecutor:
         if slot.respawns_without_completion > MAX_SLOT_RESPAWNS:
             slot.dead = True
             slot.process = None
+            self._close_results(slot)
             self._check_slots_remaining()
             return
         # Full-jitter backoff so a crash-looping slot does not spin hot
@@ -497,14 +511,15 @@ class SupervisedExecutor:
             "attempts": crashes,
             "elapsed_seconds": elapsed,
         }
-        self._completed.add(task_id)
         self._on_record((task_id, "failure", payload, elapsed, None))
 
     # -- worker lifecycle -----------------------------------------------
 
     def _spawn(self, slot: _WorkerSlot) -> None:
         self._discard_queue(slot.task_queue)
+        self._close_results(slot)
         slot.task_queue = multiprocessing.Queue()
+        slot.results, writer = multiprocessing.Pipe(duplex=False)
         self._heartbeats[slot.index] = time.monotonic()
         chaos_data = self.chaos.to_dict() if self.chaos is not None else None
         slot.process = multiprocessing.Process(
@@ -513,7 +528,7 @@ class SupervisedExecutor:
             args=(
                 slot.index,
                 slot.task_queue,
-                self._result_queue,
+                writer,
                 self._heartbeats,
                 self.heartbeat_interval,
                 self.worker_fn,
@@ -522,6 +537,7 @@ class SupervisedExecutor:
             daemon=True,
         )
         slot.process.start()
+        writer.close()
         self.stats.workers_spawned += 1
 
     @staticmethod
@@ -531,6 +547,12 @@ class SupervisedExecutor:
             return
         task_queue.close()
         task_queue.cancel_join_thread()
+
+    @staticmethod
+    def _close_results(slot: _WorkerSlot) -> None:
+        if slot.results is not None:
+            slot.results.close()
+            slot.results = None
 
     def _shutdown(self) -> None:
         for slot in self._slots:
@@ -545,8 +567,7 @@ class SupervisedExecutor:
                     process.kill()
                     process.join(5.0)
             self._discard_queue(slot.task_queue)
-        self._result_queue.close()
-        self._result_queue.cancel_join_thread()
+            self._close_results(slot)
 
     # -- signal handling ------------------------------------------------
 

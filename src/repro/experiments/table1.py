@@ -9,12 +9,16 @@ loop-iteration count, measure how often line 0 has been evicted.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.cache.cache_set import CacheSet
 from repro.common.rng import RngLike, make_rng, spawn_rng
 from repro.experiments.base import ExperimentResult, register
-from repro.replacement import make_policy
+from repro.replacement.tables import (
+    TABLEABLE_POLICIES,
+    PolicyTables,
+    TabledPolicy,
+    compile_tables,
+)
 
 WAYS = 8
 #: "Line" identifiers: 0..7 are the base lines, 8 is the extra line
@@ -24,27 +28,41 @@ LINE_8 = 8
 
 
 class _SetModel:
-    """A single 8-way set tracking which logical line occupies which way."""
+    """A single 8-way set tracking which logical line occupies which way.
 
-    def __init__(self, policy_name: str, rng):
-        policy = make_policy(
-            policy_name, WAYS, **({"rng": rng} if policy_name == "random" else {})
-        )
-        self.set = CacheSet(WAYS, policy)
-        self._tags: Dict[int, int] = {}
+    Runs on the compiled policy tables (the fast engine's per-set state)
+    with a line -> way map, so one access is a dict probe plus one table
+    transition.  ``tests/test_experiments/test_table1_model.py`` checks
+    it against a reference ``CacheSet`` model cell by cell.
+    """
+
+    __slots__ = ("policy", "_ways", "_lines")
+
+    def __init__(self, tables: PolicyTables):
+        self.policy = TabledPolicy(WAYS, tables=tables)
+        self._ways: Dict[int, int] = {}
+        self._lines: List[Optional[int]] = [None] * WAYS
 
     def access(self, line: int) -> None:
         """Access a logical line: hit updates state, miss replaces."""
-        way = self.set.lookup(line)
+        ways = self._ways
+        way = ways.get(line)
         if way is not None:
-            self.set.touch(way, is_fill=False)
+            self.policy.touch(way)
             return
-        victim = self.set.choose_victim()
-        self.set.install(victim, tag=line, address=line)
-        self.set.touch(victim, is_fill=True)
+        if len(ways) < WAYS:
+            # Nothing is ever invalidated, so ways fill in index order
+            # and the lowest invalid way is the resident-line count.
+            victim = len(ways)
+        else:
+            victim = self.policy.victim(None)
+            del ways[self._lines[victim]]
+        self._lines[victim] = line
+        ways[line] = victim
+        self.policy.on_fill(victim)
 
     def contains(self, line: int) -> bool:
-        return self.set.lookup(line) is not None
+        return line in self._ways
 
 
 def _warmup(model: _SetModel, condition: str, rng) -> None:
@@ -96,12 +114,26 @@ def eviction_probability(
     trials: int = 2000,
     rng: RngLike = None,
 ) -> float:
-    """P(line 0 evicted after ``iterations`` loop passes)."""
+    """P(line 0 evicted after ``iterations`` loop passes).
+
+    ``policy`` must be one of the table-compiled policies
+    (:data:`~repro.replacement.tables.TABLEABLE_POLICIES`).
+    """
+    if policy not in TABLEABLE_POLICIES:
+        raise ValueError(
+            f"Table I runs on compiled policy tables; policy {policy!r} "
+            f"has none (choose from {sorted(TABLEABLE_POLICIES)})"
+        )
     master = make_rng(rng)
+    tables = compile_tables(policy, WAYS)
     evicted = 0
     for _ in range(trials):
         trial_rng = spawn_rng(master, "trial")
-        model = _SetModel(policy, spawn_rng(trial_rng, "policy"))
+        # Keep the policy-seed draw: tabled policies read no stream,
+        # but the draw advances trial_rng, so the committed rows stay
+        # unchanged.
+        trial_rng.getrandbits(64)
+        model = _SetModel(tables)
         _warmup(model, condition, trial_rng)
         for _ in range(iterations):
             _run_sequence(model, sequence, trial_rng)

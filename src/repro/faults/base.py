@@ -213,6 +213,11 @@ class FaultInjector:
             maxlen=self._EVENT_LOG_LIMIT
         )
         self._obs = for_injector(obs_active())
+        # Event horizon: the earliest time any attached model can act on
+        # a time advance (see :meth:`on_time_advance`).
+        self._clocked: List[PoissonFault] = []
+        self._always_polled = False
+        self._horizon = math.inf
 
     @property
     def active(self) -> bool:
@@ -249,6 +254,12 @@ class FaultInjector:
             if session is not None:
                 session.note_fault_model(model.name)
         self.models.append(model)
+        hook = getattr(model.on_time_advance, "__func__", None)
+        if hook is PoissonFault.on_time_advance:
+            self._clocked.append(model)
+        elif hook is not FaultModel.on_time_advance:
+            self._always_polled = True
+        self._horizon = self._next_horizon()
         return model
 
     def attach_all(self, models: Sequence[FaultModel]) -> None:
@@ -261,8 +272,28 @@ class FaultInjector:
         if stolen > 0:
             self.event_log.append((at, stolen))
 
+    def _next_horizon(self) -> float:
+        if self._always_polled:
+            return -math.inf
+        return min(
+            (model._next_at for model in self._clocked), default=math.inf
+        )
+
     def on_time_advance(self, now: float) -> float:
-        return sum(model.on_time_advance(now) for model in self.models)
+        """Fan a time advance out to every model; return the cycles stolen.
+
+        Schedulers call this before every operation, but events arrive a
+        few hundred times per run.  Below the horizon — the earliest
+        pending :class:`PoissonFault` arrival — no model can fire, so
+        the call returns at once.  A model that overrides
+        ``on_time_advance`` itself has no known horizon and is polled
+        on every call.
+        """
+        if now < self._horizon:
+            return 0.0
+        stall = sum(model.on_time_advance(now) for model in self.models)
+        self._horizon = self._next_horizon()
+        return stall
 
     def stall_in_window(self, start: float, end: float) -> float:
         """Total handler cycles of events fired in ``(start, end]``.

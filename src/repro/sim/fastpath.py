@@ -168,12 +168,12 @@ class FastSetAssociativeCache(SetAssociativeCache):
             self._plain_hit_path = False
             self._plain_fill_path = False
 
-    def _make_policy(self, config: CacheConfig, base_rng, index: int):
+    def _make_policy(self, index: int):
         if self._tables is not None:
             # Per-set state is just the interned index inside the
             # TabledPolicy.
-            return TabledPolicy(config.ways, tables=self._tables)
-        return SetAssociativeCache._make_policy(config, base_rng, index)
+            return TabledPolicy(self.config.ways, tables=self._tables)
+        return super()._make_policy(index)
 
     @staticmethod
     def _make_set(ways: int, policy) -> CacheSet:

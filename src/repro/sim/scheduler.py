@@ -47,6 +47,25 @@ class _SchedulerBase:
         self.rng = make_rng(rng)
         self.faults = faults
         self._obs = for_scheduler(obs_active())
+        self._handlers = {
+            ReadTSC: self._read_tsc,
+            Access: self._access,
+            Compute: self._compute,
+            SleepUntil: self._sleep_until,
+        }
+        self._arm_faults()
+
+    def _arm_faults(self):
+        """Latch the injector for one run; None when no fault is attached.
+
+        Called at the start of every ``run``, so faults attached between
+        runs take effect while the per-op paths read one attribute.
+        """
+        faults = self.faults
+        self._live_faults = (
+            faults if faults is not None and faults.active else None
+        )
+        return self._live_faults
 
     def _fault_wake_stall(self, thread: SimThread, now: float) -> float:
         """Fire pending fault events; return the wake-up stall for ``thread``.
@@ -59,14 +78,15 @@ class _SchedulerBase:
         that never sleeps (the sender's tight encode loop) keeps its
         pace and only sees the cache pollution.
         """
-        if self.faults is None or not self.faults.active:
+        faults = self._live_faults
+        if faults is None:
             return 0.0
-        self.faults.on_time_advance(now)
+        faults.on_time_advance(now)
         slept_from = getattr(thread, "_slept_from", None)
         if slept_from is None:
             return 0.0
         thread._slept_from = None
-        stall = self.faults.stall_in_window(slept_from, now)
+        stall = faults.stall_in_window(slept_from, now)
         if stall and self._obs is not None:
             self._obs.fault_stall_cycles.inc(int(stall))
         return stall
@@ -75,36 +95,49 @@ class _SchedulerBase:
         """Run one operation at time ``now``; return its cycle cost."""
         if self._obs is not None:
             self._obs.ops.inc()
-        if isinstance(op, ReadTSC):
-            reading = now
-            if self.faults is not None and self.faults.active:
-                reading = self.faults.perturb_tsc(now)
-            thread.deliver(reading)
-            return READ_TSC_COST
-        if isinstance(op, Access):
-            outcome = self.hierarchy.access(
-                MemoryAccess(
-                    address=op.address,
-                    access_type=op.access_type,
-                    thread_id=thread.thread_id,
-                    address_space=thread.address_space,
-                    locked=op.locked,
-                    unlock=op.unlock,
-                    speculative=op.speculative,
-                ),
-                count=op.count,
-            )
-            thread.deliver(outcome)
-            return outcome.latency
-        if isinstance(op, Compute):
-            thread.deliver(None)
-            return op.cycles
-        if isinstance(op, SleepUntil):
-            thread.deliver(None)
-            if self.faults is not None and self.faults.active:
-                thread._slept_from = now
-            return max(0.0, op.cycle - now)
-        raise SimulationError(f"unknown operation {op!r}")
+        handler = self._handlers.get(type(op))
+        if handler is None:
+            # A subclassed operation runs as its nearest base operation.
+            bases = [b for b in type(op).__mro__ if b in self._handlers]
+            if not bases:
+                raise SimulationError(f"unknown operation {op!r}")
+            handler = self._handlers[bases[0]]
+        return handler(thread, op, now)
+
+    def _read_tsc(self, thread: SimThread, op: ReadTSC, now: float) -> float:
+        reading = now
+        if self._live_faults is not None:
+            reading = self._live_faults.perturb_tsc(now)
+        thread.deliver(reading)
+        return READ_TSC_COST
+
+    def _access(self, thread: SimThread, op: Access, now: float) -> float:
+        outcome = self.hierarchy.access(
+            MemoryAccess(
+                address=op.address,
+                access_type=op.access_type,
+                thread_id=thread.thread_id,
+                address_space=thread.address_space,
+                locked=op.locked,
+                unlock=op.unlock,
+                speculative=op.speculative,
+            ),
+            count=op.count,
+        )
+        thread.deliver(outcome)
+        return outcome.latency
+
+    def _compute(self, thread: SimThread, op: Compute, now: float) -> float:
+        thread.deliver(None)
+        return op.cycles
+
+    def _sleep_until(
+        self, thread: SimThread, op: SleepUntil, now: float
+    ) -> float:
+        thread.deliver(None)
+        if self._live_faults is not None:
+            thread._slept_from = now
+        return max(0.0, op.cycle - now)
 
 
 class HyperThreadedScheduler(_SchedulerBase):
@@ -136,26 +169,44 @@ class HyperThreadedScheduler(_SchedulerBase):
 
         Returns the cycle time of the last completed operation.
         """
-        for thread in self.threads:
+        threads = self.threads
+        for thread in threads:
             if not thread.alive:
                 thread.start()
+        # Bound once per run: the sanitizer patches ``_execute`` on the
+        # instance before any run starts.
+        rand = self.rng.random
+        jitter = self.jitter
+        execute = self._execute
+        wake_stall = self._fault_wake_stall
+        faults = self._arm_faults()
         last_time = 0.0
         while True:
-            runnable = [t for t in self.threads if t.alive]
-            if not runnable:
+            # The earliest clock issues next; each alive thread draws one
+            # arbitration number, in list order, to break clock ties.
+            thread = None
+            for candidate in threads:
+                if candidate.alive:
+                    ready = candidate.ready_at
+                    draw = rand()
+                    if thread is None or ready < best or (
+                        ready == best and draw < best_draw
+                    ):
+                        thread, best, best_draw = candidate, ready, draw
+            if thread is None:
                 break
-            thread = min(
-                runnable, key=lambda t: (t.ready_at, self.rng.random())
-            )
-            if until_cycle is not None and thread.ready_at >= until_cycle:
+            if until_cycle is not None and best >= until_cycle:
                 break
-            thread.ready_at += self._fault_wake_stall(thread, thread.ready_at)
+            if faults is not None:
+                thread.ready_at += wake_stall(thread, best)
             op = thread.next_operation()
             if op is None:
                 continue
-            cost = self._execute(thread, op, thread.ready_at)
-            thread.ready_at += cost + self.rng.uniform(0.0, self.jitter)
-            last_time = max(last_time, thread.ready_at)
+            cost = execute(thread, op, thread.ready_at)
+            # rng.uniform(0.0, jitter), inlined.
+            thread.ready_at += cost + jitter * rand()
+            if thread.ready_at > last_time:
+                last_time = thread.ready_at
         return last_time
 
 
@@ -204,6 +255,9 @@ class TimeSlicedScheduler(_SchedulerBase):
         for thread in self.threads:
             if not thread.alive:
                 thread.start()
+        execute = self._execute
+        wake_stall = self._fault_wake_stall
+        faults = self._arm_faults()
         now = 0.0
         index = 0
         while now < until_cycle and any(t.alive for t in self.threads):
@@ -217,14 +271,12 @@ class TimeSlicedScheduler(_SchedulerBase):
             # The thread resumes where it left off, but never in the past.
             thread.ready_at = max(thread.ready_at, now)
             while thread.alive and thread.ready_at < slice_end:
-                thread.ready_at += self._fault_wake_stall(
-                    thread, thread.ready_at
-                )
+                if faults is not None:
+                    thread.ready_at += wake_stall(thread, thread.ready_at)
                 op = thread.next_operation()
                 if op is None:
                     break
-                cost = self._execute(thread, op, thread.ready_at)
-                thread.ready_at += cost
+                thread.ready_at += execute(thread, op, thread.ready_at)
             # The core moves on at the end of the slice; a thread whose
             # last operation overran (or that is sleeping far ahead)
             # keeps its own ready_at and simply does nothing next slice.

@@ -8,6 +8,7 @@ tests happens at the same point on every run.
 
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -34,6 +35,30 @@ def sleepy_worker(spec):
 
 def suicidal_worker(spec):
     os._exit(9)
+
+
+#: Far more than a pipe buffer holds, so sending it blocks until the
+#: supervisor reads.
+BULKY_BYTES = 4 << 20
+
+
+def wait_for_file(path, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def bulky_worker(spec):
+    """Return a record larger than a pipe buffer.  Given a directory,
+    first wait for its ``go`` file and write this worker's pid to its
+    ``pid`` file."""
+    task_id, gate = spec
+    blob = "x" * BULKY_BYTES
+    if gate is not None:
+        wait_for_file(os.path.join(gate, "go"))
+        with open(os.path.join(gate, "pid"), "w") as handle:
+            handle.write(str(os.getpid()))
+    return (task_id, "result", {"blob": blob}, 0.0, None)
 
 
 def echo_tasks(n):
@@ -169,6 +194,40 @@ class TestCrashRecovery:
         assert outcome.stats.tasks_quarantined == 1
         assert outcome.stats.workers_crashed == 2
         assert not outcome.interrupted
+
+    def test_worker_killed_mid_report_stalls_no_other_report(self, tmp_path):
+        # "big" reports a record larger than a pipe buffer once "small"
+        # is being delivered.  While the supervisor is busy delivering
+        # it, big's report blocks half-written; SIGKILL it there, as an
+        # OOM kill would.  The torn report must not wedge the supervisor
+        # or any other worker.
+        records = []
+        executor = SupervisedExecutor(
+            worker_fn=bulky_worker, jobs=2, heartbeat_interval=0.1
+        )
+
+        def on_record(record):
+            records.append(record)
+            if record[0] != "small":
+                return
+            (tmp_path / "go").touch()
+            wait_for_file(tmp_path / "pid")
+            time.sleep(0.3)  # big is now blocked mid-send
+            os.kill(int((tmp_path / "pid").read_text()), signal.SIGKILL)
+
+        tasks = [("small", ("small", None)), ("big", ("big", str(tmp_path)))]
+        outcomes = []
+        batch = threading.Thread(
+            target=lambda: outcomes.append(executor.run(tasks, on_record)),
+            daemon=True,
+        )
+        batch.start()
+        batch.join(60.0)
+        assert not batch.is_alive(), "supervisor wedged by a torn report"
+        assert sorted(r[0] for r in records) == ["big", "small"]
+        assert all(len(r[2]["blob"]) == BULKY_BYTES for r in records)
+        assert outcomes[0].stats.workers_crashed == 1
+        assert outcomes[0].stats.tasks_requeued == 1
 
     def test_all_slots_dead_raises_executor_error(self):
         executor = SupervisedExecutor(

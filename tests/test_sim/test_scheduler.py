@@ -160,6 +160,96 @@ class TestHyperThreadedScheduler:
         assert results["b"].l1_hit
 
 
+class MinKeyScheduler(HyperThreadedScheduler):
+    """The arbitration loop as first written: a runnable list and a
+    ``min`` keyed on (clock, draw) per op.  Oracle for the hoisted loop."""
+
+    def run(self, until_cycle=None):
+        for thread in self.threads:
+            if not thread.alive:
+                thread.start()
+        last_time = 0.0
+        while True:
+            runnable = [t for t in self.threads if t.alive]
+            if not runnable:
+                break
+            thread = min(
+                runnable, key=lambda t: (t.ready_at, self.rng.random())
+            )
+            if until_cycle is not None and thread.ready_at >= until_cycle:
+                break
+            thread.ready_at += self._fault_wake_stall(thread, thread.ready_at)
+            op = thread.next_operation()
+            if op is None:
+                continue
+            cost = self._execute(thread, op, thread.ready_at)
+            thread.ready_at += cost + self.rng.uniform(0.0, self.jitter)
+            last_time = max(last_time, thread.ready_at)
+        return last_time
+
+
+class TestArbitrationOrder:
+    """The hoisted loop draws and breaks ties exactly like the oracle."""
+
+    @staticmethod
+    def _run(scheduler_class, jitter, until_cycle):
+        order = []
+
+        def program(name, lengths):
+            def body():
+                for k, cycles in enumerate(lengths):
+                    stamp = yield ReadTSC()
+                    order.append((name, stamp))
+                    if k % 3 == 0:
+                        yield Access(64 * (k % 16))
+                    yield Compute(cycles)
+
+            return body
+
+        threads = [
+            SimThread("a", program("a", [10.0] * 30)),
+            SimThread("b", program("b", [10.0, 20.0] * 12), thread_id=1),
+            SimThread("c", program("c", [30.0] * 8), thread_id=2),
+        ]
+        end = scheduler_class(
+            make_hierarchy(), threads, rng=5, jitter=jitter
+        ).run(until_cycle=until_cycle)
+        return order, end
+
+    @pytest.mark.parametrize("jitter", [0.0, 2.0])
+    @pytest.mark.parametrize("until_cycle", [None, 400.0])
+    def test_interleaving_matches_min_key_loop(self, jitter, until_cycle):
+        # jitter=0 makes clock ties constant, so the draws decide order.
+        ours = self._run(HyperThreadedScheduler, jitter, until_cycle)
+        oracle = self._run(MinKeyScheduler, jitter, until_cycle)
+        assert ours == oracle
+        assert len({name for name, _ in ours[0]}) == 3
+
+
+class TestOperationDispatch:
+    def test_subclassed_operation_runs_as_its_base(self):
+        class Spin(Compute):
+            pass
+
+        stamps = []
+
+        def program():
+            yield Spin(50.0)
+            stamps.append((yield ReadTSC()))
+
+        t = SimThread("t", program)
+        HyperThreadedScheduler(make_hierarchy(), [t], rng=1, jitter=0.0).run()
+        assert stamps == [50.0]
+
+    def test_unknown_operation_raises(self):
+        def program():
+            yield "load"
+
+        t = SimThread("t", program)
+        with pytest.raises(SimulationError, match="unknown operation"):
+            HyperThreadedScheduler(make_hierarchy(), [t], rng=1).run()
+
+
 class TestTimeSlicedScheduler:
     def test_alternates_threads_by_quantum(self):
         h = make_hierarchy()
